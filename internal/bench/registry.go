@@ -74,7 +74,10 @@ var experiments = []Experiment{
 	{"ninepoint", "5-point vs 9-point arithmetic-intensity ablation (§VII)",
 		func(p Params, o ExpOpts, w io.Writer) error { r, err := NinePoint(p); return writeReport(r, err, w) }},
 	{"autoplan", "automatic kernel-family planning (§VII future work)",
-		func(p Params, o ExpOpts, w io.Writer) error { r, err := AutoPlanReport(p); return writeReport(r, err, w) }},
+		func(p Params, o ExpOpts, w io.Writer) error {
+			r, err := AutoPlanReport(p)
+			return writeReport(r, err, w)
+		}},
 	{"sched", "scheduler ablation on both engines",
 		func(p Params, o ExpOpts, w io.Writer) error { r, err := Schedulers(p); return writeReport(r, err, w) }},
 	{"weak", "weak scaling with constant per-node work",
@@ -82,9 +85,15 @@ var experiments = []Experiment{
 	{"coalesce", "halo-coalescing ablation: bundles vs point-to-point",
 		func(p Params, o ExpOpts, w io.Writer) error { r, err := Coalesce(p); return writeReport(r, err, w) }},
 	{"tb", "temporal-blocking crossover: base vs CA vs wavefront",
-		func(p Params, o ExpOpts, w io.Writer) error { r, err := TemporalBlocking(p); return writeReport(r, err, w) }},
+		func(p Params, o ExpOpts, w io.Writer) error {
+			r, err := TemporalBlocking(p)
+			return writeReport(r, err, w)
+		}},
 	{"fault", "fault injection and recovery ablation",
-		func(p Params, o ExpOpts, w io.Writer) error { r, err := FaultAblation(p); return writeReport(r, err, w) }},
+		func(p Params, o ExpOpts, w io.Writer) error {
+			r, err := FaultAblation(p)
+			return writeReport(r, err, w)
+		}},
 	{"overlap", "inner/border split: communication-computation overlap",
 		func(p Params, o ExpOpts, w io.Writer) error { r, err := Overlap(p); return writeReport(r, err, w) }},
 	{"serve", "stencild job-manager throughput",

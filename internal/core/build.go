@@ -19,14 +19,13 @@ type tileInfo struct {
 	boundary bool
 	halo     int
 
-	// Store slots of the zero-copy fast path, reserved at build time when
-	// the graph carries bodies; base -1 selects the keyed fallback.
-	// stateSlot holds the tile's *tileState; sendSlot[d]/recvSlot[d] are
-	// the slot ranges holding packed halo payloads flowing toward/arriving
-	// from direction d, indexed round-robin by step or phase (see slotOf).
-	// The range depth bounds the number of simultaneously live buffers of
-	// the flow, which follows from how far the producer can run ahead of
-	// the consumer (see slotDepth).
+	// Store slots every payload moves through, reserved at build time when
+	// the graph carries bodies. stateSlot holds the tile's *tileState;
+	// sendSlot[d]/recvSlot[d] are the slot ranges holding packed halo
+	// payloads flowing toward/arriving from direction d, indexed
+	// round-robin by step or phase (see slotOf). The range depth bounds the
+	// number of simultaneously live buffers of the flow, which follows from
+	// how far the producer can run ahead of the consumer (see slotDepth).
 	stateSlot int32
 	sendSlot  [grid.NumDirs]slotRange
 	recvSlot  [grid.NumDirs]slotRange
@@ -85,11 +84,6 @@ func BuildGraph(v Variant, cfg Config) (*ptg.Graph, error) {
 				// Every tile carries the deep ghost region: all flows —
 				// intra-node ones included — happen once per block.
 				inf.halo = cfg.Wavefront
-			}
-			inf.stateSlot = -1
-			for d := range inf.sendSlot {
-				inf.sendSlot[d] = slotRange{base: -1}
-				inf.recvSlot[d] = slotRange{base: -1}
 			}
 			bd.info[ti][tj] = inf
 		}
@@ -153,27 +147,12 @@ func BuildGraph(v Variant, cfg Config) (*ptg.Graph, error) {
 						rect := bd.sendRect(p, d.Opposite(), depth)
 						dep.Bytes = rect.Bytes()
 						if cfg.WithBodies {
-							key := BufKey{TI: p.ti, TJ: p.tj, Step: t - 1, Dir: d.Opposite()}
-							ss, rs := int32(-1), int32(-1)
-							if p.sendSlot[d.Opposite()].base >= 0 {
-								ss = bd.slotOf(p.sendSlot[d.Opposite()], inf, t-1)
-								rs = bd.slotOf(inf.recvSlot[d], inf, t-1)
-							}
-							dep.Pack = func(e ptg.Env) []byte {
-								if se, ok := e.(ptg.SlotEnv); ok && ss >= 0 {
-									return se.TakeBufSlot(ss)
-								}
-								return EncodeFloats(e.Take(key).([]float64))
-							}
-							dep.Unpack = func(e ptg.Env, data []byte) {
-								if se, ok := e.(ptg.SlotEnv); ok && rs >= 0 {
-									// Zero-copy: the in-flight payload itself
-									// becomes the consumer-side buffer.
-									se.PutBufSlot(rs, data)
-									return
-								}
-								e.Put(key, DecodeFloats(data))
-							}
+							ss := bd.slotOf(p.sendSlot[d.Opposite()], inf, t-1)
+							rs := bd.slotOf(inf.recvSlot[d], inf, t-1)
+							dep.Pack = func(e ptg.Env) []byte { return e.TakeBufSlot(ss) }
+							// Zero-copy: the in-flight payload itself becomes
+							// the consumer-side buffer.
+							dep.Unpack = func(e ptg.Env, data []byte) { e.PutBufSlot(rs, data) }
 						}
 					}
 					if err := gb.AddDep(taskID(ti, tj, t), taskID(p.ti, p.tj, t-1), dep); err != nil {
@@ -197,11 +176,11 @@ func taskID(ti, tj, t int) ptg.TaskID {
 	return ptg.TaskID{Class: "st", I: ti, J: tj, K: t}
 }
 
-// allocSlots reserves store slots for the zero-copy fast path: one general
-// slot per tile for its state, and one buffer-slot range per halo flow.
-// Same-node flows share a single range (producer deposits, consumer takes);
-// cross-node flows get a range on each side (Pack drains the producer's,
-// Unpack fills the consumer's).
+// allocSlots reserves the store slots every payload moves through: one
+// general slot per tile for its state, and one buffer-slot range per halo
+// flow. Same-node flows share a single range (producer deposits, consumer
+// takes); cross-node flows get a range on each side (Pack drains the
+// producer's, Unpack fills the consumer's).
 func (b *builder) allocSlots(gb *ptg.Builder) {
 	for ti := 0; ti < b.part.TR; ti++ {
 		for tj := 0; tj < b.part.TC; tj++ {
@@ -230,10 +209,7 @@ func (b *builder) allocSlots(gb *ptg.Builder) {
 				if _, ok := b.flow(p, d.Opposite(), 0); !ok {
 					continue
 				}
-				if !b.slottable(p, cons, d) {
-					continue
-				}
-				depth := b.slotDepth(p, cons)
+				depth := b.slotDepth(p, cons, d)
 				p.sendSlot[d.Opposite()] = alloc(p.node, depth)
 				if cons.node == p.node {
 					cons.recvSlot[d] = p.sendSlot[d.Opposite()]
@@ -260,23 +236,19 @@ func (b *builder) allocSlots(gb *ptg.Builder) {
 //     phase — it can run a full phase (s productions) past a stalled
 //     consumer, on top of the one unconsumed payload from the previous
 //     phase boundary. s+1 slots.
-func (b *builder) slotDepth(prod, cons *tileInfo) int {
-	if b.v == CA && !cons.boundary && prod.boundary {
+//   - The CA StepSize-1 corner flow d from an interior producer into a
+//     boundary tile: diagonal flows into interior tiles do not exist, so
+//     the consumer holds the producer back only through two cardinal hops
+//     and the producer runs at most three steps ahead. Three slots.
+func (b *builder) slotDepth(prod, cons *tileInfo, d grid.Dir) int {
+	switch {
+	case b.v == CA && prod.boundary && !cons.boundary:
 		return b.cfg.StepSize + 1
+	case b.v == CA && !prod.boundary && cons.boundary && !d.Cardinal() && b.cfg.StepSize == 1:
+		return 3
+	default:
+		return 2
 	}
-	return 2
-}
-
-// slottable reports whether the flow prod -> cons arriving from direction d
-// may use round-robin slots. The lone exception is the CA corner flow with
-// StepSize 1 from an interior producer into a boundary tile: the producer
-// has no reverse flow from the consumer (diagonal flows into interior tiles
-// do not exist), so the take-before-reuse round-trip needs two cardinal
-// hops — t+3 — while the producer refills the slot at t+2. Those rare 1x1
-// corner payloads stay on the keyed fallback.
-func (b *builder) slottable(prod, cons *tileInfo, d grid.Dir) bool {
-	return d.Cardinal() || b.v != CA || !cons.boundary || prod.boundary ||
-		b.cfg.StepSize >= 2
 }
 
 // slotOf indexes a flow's slot range for the payload produced at iteration
@@ -496,15 +468,7 @@ func (b *builder) initBody(inf *tileInfo) func(ptg.Env) {
 		// both buffers; they are never written afterwards.
 		stencil.FillBoundary(cur, inf.r0, inf.c0, cfg.N, cfg.Boundary)
 		stencil.FillBoundary(next, inf.r0, inf.c0, cfg.N, cfg.Boundary)
-		st := &tileState{cur: cur, next: next, r0: inf.r0, c0: inf.c0}
-		// The keyed entry stays authoritative for out-of-graph readers
-		// (Gather, hygiene tests); the slot gives compute tasks lock-free
-		// access on the hot path.
-		e.Put(TileKey{TI: inf.ti, TJ: inf.tj}, st)
-		if se, ok := e.(ptg.SlotEnv); ok && inf.stateSlot >= 0 {
-			se.PutSlot(inf.stateSlot, st)
-		}
-		b.produce(e, st, inf, 0)
+		b.produce(e, publishState(e, inf, cur, next), inf, 0)
 	}
 }
 
@@ -558,31 +522,23 @@ func (b *builder) wavefrontBody(inf *tileInfo, t int) func(ptg.Env) {
 	}
 }
 
-// produce packs and publishes every outgoing flow of iteration t. On the
-// fast path the halo is serialized straight into a pooled wire buffer
-// (Tile.PackBytes) and deposited in the flow's parity slot; the float64
-// round-trip and its allocations exist only on the keyed fallback.
+// produce packs and publishes every outgoing flow of iteration t: the halo
+// is serialized straight into a pooled wire buffer (Tile.PackBytes) and
+// deposited in the flow's round-robin slot.
 func (b *builder) produce(e ptg.Env, st *tileState, inf *tileInfo, t int) {
-	se, slotted := e.(ptg.SlotEnv)
 	for _, d := range grid.AllDirs {
 		depth, ok := b.flow(inf, d, t)
 		if !ok {
 			continue
 		}
 		rc := st.cur.SendRect(d, depth)
-		if slotted && inf.sendSlot[d].base >= 0 {
-			cons := b.neighbor(inf, d)
-			buf := st.cur.PackBytes(rc, runtime.GetBuf(rc.Bytes()))
-			se.PutBufSlot(b.slotOf(inf.sendSlot[d], cons, t), buf)
-			continue
-		}
-		buf := st.cur.Pack(rc, nil)
-		e.Put(BufKey{TI: inf.ti, TJ: inf.tj, Step: t, Dir: d}, buf)
+		buf := st.cur.PackBytes(rc, runtime.GetBuf(rc.Bytes()))
+		e.PutBufSlot(b.slotOf(inf.sendSlot[d], b.neighbor(inf, d), t), buf)
 	}
 }
 
-// consume takes and unpacks every incoming flow feeding iteration t. Fast
-// path: the wire buffer is deserialized in place into the ghost region and
+// consume takes and unpacks every incoming flow feeding iteration t: the
+// wire buffer is deserialized in place into the ghost region and
 // immediately recycled into the runtime arena — steady state allocates
 // nothing.
 func (b *builder) consume(e ptg.Env, st *tileState, inf *tileInfo, t int) {
@@ -604,24 +560,15 @@ func (b *builder) consumeDir(e ptg.Env, st *tileState, inf *tileInfo, d grid.Dir
 	if !ok {
 		return
 	}
-	rc := st.cur.RecvRect(d, depth)
-	if se, slotted := e.(ptg.SlotEnv); slotted && inf.recvSlot[d].base >= 0 {
-		buf := se.TakeBufSlot(b.slotOf(inf.recvSlot[d], inf, t-1))
-		st.cur.UnpackBytes(rc, buf)
-		runtime.PutBuf(buf)
-		return
-	}
-	key := BufKey{TI: p.ti, TJ: p.tj, Step: t - 1, Dir: d.Opposite()}
-	vals := e.Take(key).([]float64)
-	st.cur.Unpack(rc, vals)
+	buf := e.TakeBufSlot(b.slotOf(inf.recvSlot[d], inf, t-1))
+	st.cur.UnpackBytes(st.cur.RecvRect(d, depth), buf)
+	runtime.PutBuf(buf)
 }
 
 // migFlow is one halo flow a migrating task consumes or produces, resolved
-// to its transfer mechanics at build time: the exact payload size, the slot
-// it rides on the fast path, and the key of the slow-path fallback.
+// at build time to its exact payload size and the slot it rides.
 type migFlow struct {
-	slot  int32 // -1 selects the keyed fallback
-	key   BufKey
+	slot  int32
 	bytes int
 }
 
@@ -642,28 +589,23 @@ func (b *builder) migration(inf *tileInfo, t int) *ptg.Migration {
 	if t == 0 {
 		return nil // init allocates the tile state; it never migrates
 	}
+	// Slots exist only on graphs with bodies; cost-only graphs need the
+	// byte geometry alone.
+	bodies := b.cfg.WithBodies
 	var ins, outs []migFlow
 	for _, d := range grid.AllDirs {
 		if p := b.neighbor(inf, d); p != nil {
 			if depth, ok := b.flow(p, d.Opposite(), t-1); ok {
-				f := migFlow{
-					slot:  -1,
-					key:   BufKey{TI: p.ti, TJ: p.tj, Step: t - 1, Dir: d.Opposite()},
-					bytes: b.sendRect(p, d.Opposite(), depth).Bytes(),
-				}
-				if inf.recvSlot[d].base >= 0 {
+				f := migFlow{bytes: b.sendRect(p, d.Opposite(), depth).Bytes()}
+				if bodies {
 					f.slot = b.slotOf(inf.recvSlot[d], inf, t-1)
 				}
 				ins = append(ins, f)
 			}
 		}
 		if depth, ok := b.flow(inf, d, t); ok {
-			f := migFlow{
-				slot:  -1,
-				key:   BufKey{TI: inf.ti, TJ: inf.tj, Step: t, Dir: d},
-				bytes: b.sendRect(inf, d, depth).Bytes(),
-			}
-			if inf.sendSlot[d].base >= 0 {
+			f := migFlow{bytes: b.sendRect(inf, d, depth).Bytes()}
+			if bodies {
 				f.slot = b.slotOf(inf.sendSlot[d], b.neighbor(inf, d), t)
 			}
 			outs = append(outs, f)
@@ -680,82 +622,55 @@ func (b *builder) migration(inf *tileInfo, t int) *ptg.Migration {
 	for _, f := range outs {
 		mig.OutBytes += f.bytes
 	}
-	if !b.cfg.WithBodies {
+	if !bodies {
 		return mig
 	}
 	cfg := b.cfg
 	mig.PackIn = func(e ptg.Env) []byte {
-		st := b.state(e, inf)
-		data := runtime.GetBuf(mig.InBytes)[:mig.InBytes]
-		off := full.Bytes()
-		st.cur.PackBytes(full, data[:off])
-		for _, f := range ins {
-			seg := data[off : off+f.bytes]
-			if se, ok := e.(ptg.SlotEnv); ok && f.slot >= 0 {
-				buf := se.TakeBufSlot(f.slot)
-				copy(seg, buf)
-				runtime.PutBuf(buf)
-			} else {
-				copy(seg, EncodeFloats(e.Take(f.key).([]float64)))
-			}
-			off += f.bytes
-		}
-		return data
+		return packMig(e, b.state(e, inf).cur, full, ins, mig.InBytes)
 	}
 	mig.Deposit = func(e ptg.Env, data []byte) {
-		st := migState(e, inf, cfg)
-		off := full.Bytes()
-		st.cur.UnpackBytes(full, data[:off])
-		for _, f := range ins {
-			seg := data[off : off+f.bytes]
-			if se, ok := e.(ptg.SlotEnv); ok && f.slot >= 0 {
-				buf := runtime.GetBuf(f.bytes)[:f.bytes]
-				copy(buf, seg)
-				se.PutBufSlot(f.slot, buf)
-			} else {
-				e.Put(f.key, DecodeFloats(seg))
-			}
-			off += f.bytes
-		}
+		depositMig(e, migState(e, inf, cfg).cur, full, ins, data)
 	}
 	mig.PackOut = func(e ptg.Env) []byte {
-		st := b.state(e, inf)
-		data := runtime.GetBuf(mig.OutBytes)[:mig.OutBytes]
-		off := full.Bytes()
-		st.cur.PackBytes(full, data[:off])
-		for _, f := range outs {
-			seg := data[off : off+f.bytes]
-			if se, ok := e.(ptg.SlotEnv); ok && f.slot >= 0 {
-				buf := se.TakeBufSlot(f.slot)
-				copy(seg, buf)
-				runtime.PutBuf(buf)
-			} else {
-				copy(seg, EncodeFloats(e.Take(f.key).([]float64)))
-			}
-			off += f.bytes
-		}
-		return data
+		return packMig(e, b.state(e, inf).cur, full, outs, mig.OutBytes)
 	}
 	mig.Commit = func(e ptg.Env, data []byte) {
-		st := b.state(e, inf)
-		off := full.Bytes()
 		// The shipped result lands in next and the double buffer swaps, so
 		// cur holds exactly what a local execution's swap would have left.
-		st.next.UnpackBytes(full, data[:off])
+		st := b.state(e, inf)
+		depositMig(e, st.next, full, outs, data)
 		st.cur, st.next = st.next, st.cur
-		for _, f := range outs {
-			seg := data[off : off+f.bytes]
-			if se, ok := e.(ptg.SlotEnv); ok && f.slot >= 0 {
-				buf := runtime.GetBuf(f.bytes)[:f.bytes]
-				copy(buf, seg)
-				se.PutBufSlot(f.slot, buf)
-			} else {
-				e.Put(f.key, DecodeFloats(seg))
-			}
-			off += f.bytes
-		}
 	}
 	return mig
+}
+
+// packMig serializes a migration payload of n bytes: the full rect of tile
+// followed by the payload of every flow, drained from its slot.
+func packMig(e ptg.Env, tile *grid.Tile, full grid.Rect, flows []migFlow, n int) []byte {
+	data := runtime.GetBuf(n)[:n]
+	off := full.Bytes()
+	tile.PackBytes(full, data[:off])
+	for _, f := range flows {
+		buf := e.TakeBufSlot(f.slot)
+		copy(data[off:off+f.bytes], buf)
+		runtime.PutBuf(buf)
+		off += f.bytes
+	}
+	return data
+}
+
+// depositMig is packMig's inverse: it unpacks the full rect into tile and
+// deposits every flow's payload in its slot.
+func depositMig(e ptg.Env, tile *grid.Tile, full grid.Rect, flows []migFlow, data []byte) {
+	off := full.Bytes()
+	tile.UnpackBytes(full, data[:off])
+	for _, f := range flows {
+		buf := runtime.GetBuf(f.bytes)[:f.bytes]
+		copy(buf, data[off:off+f.bytes])
+		e.PutBufSlot(f.slot, buf)
+		off += f.bytes
+	}
 }
 
 // migState fetches — or, on a thief rank executing its first migrated task
@@ -764,31 +679,29 @@ func (b *builder) migration(inf *tileInfo, t int) *ptg.Migration {
 // fills them exactly once in a local run); its remaining cells are dead
 // until written, per the determinism argument above.
 func migState(e ptg.Env, inf *tileInfo, cfg Config) *tileState {
-	if se, ok := e.(ptg.SlotEnv); ok && inf.stateSlot >= 0 {
-		if v := se.GetSlot(inf.stateSlot); v != nil {
-			return v.(*tileState)
-		}
-	} else if v := e.Get(TileKey{TI: inf.ti, TJ: inf.tj}); v != nil {
+	if v := e.GetSlot(inf.stateSlot); v != nil {
 		return v.(*tileState)
 	}
 	cur := grid.NewTile(inf.rows, inf.cols, inf.halo)
 	next := grid.NewTile(inf.rows, inf.cols, inf.halo)
 	stencil.FillBoundary(next, inf.r0, inf.c0, cfg.N, cfg.Boundary)
+	return publishState(e, inf, cur, next)
+}
+
+// publishState installs a tile's double-buffer state in its node's store.
+// The keyed entry stays authoritative for out-of-graph readers (Gather,
+// hygiene tests); the slot gives compute tasks lock-free access on the hot
+// path.
+func publishState(e ptg.Env, inf *tileInfo, cur, next *grid.Tile) *tileState {
 	st := &tileState{cur: cur, next: next, r0: inf.r0, c0: inf.c0}
 	e.Put(TileKey{TI: inf.ti, TJ: inf.tj}, st)
-	if se, ok := e.(ptg.SlotEnv); ok && inf.stateSlot >= 0 {
-		se.PutSlot(inf.stateSlot, st)
-	}
+	e.PutSlot(inf.stateSlot, st)
 	return st
 }
 
-// state fetches the tile's double-buffer state: slot fast path, keyed
-// fallback.
+// state fetches the tile's double-buffer state.
 func (b *builder) state(e ptg.Env, inf *tileInfo) *tileState {
-	if se, ok := e.(ptg.SlotEnv); ok && inf.stateSlot >= 0 {
-		return se.GetSlot(inf.stateSlot).(*tileState)
-	}
-	return e.Get(TileKey{TI: inf.ti, TJ: inf.tj}).(*tileState)
+	return e.GetSlot(inf.stateSlot).(*tileState)
 }
 
 // GraphStats builds the graph (cost-only) and returns its statistics;

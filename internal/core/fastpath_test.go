@@ -62,25 +62,6 @@ func TestMessageRoundTripZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkMsgRoundTripLegacy measures the pre-fast-path four-copy chain the
-// keyed fallback still uses: float64 staging, byte encoding, byte decoding,
-// float64 unpacking — three allocations per hop.
-func BenchmarkMsgRoundTripLegacy(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	src := randomHaloTile(rng, 128, 1)
-	dst := grid.NewTile(128, 128, 1)
-	sendRc := src.SendRect(grid.North, 1)
-	recvRc := dst.RecvRect(grid.South, 1)
-	b.SetBytes(int64(sendRc.Bytes()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vals := src.Pack(sendRc, nil)
-		wire := EncodeFloats(vals)
-		dst.Unpack(recvRc, DecodeFloats(wire))
-	}
-}
-
 // BenchmarkMsgRoundTripZeroCopy measures the slot-based fast path on the
 // same payload.
 func BenchmarkMsgRoundTripZeroCopy(b *testing.B) {
@@ -188,4 +169,12 @@ func BenchmarkExecutorWavefront(b *testing.B) {
 func TestFastPathStaysOnOracle(t *testing.T) {
 	assertMatchesReference(t, CA, Config{N: 30, TileRows: 5, P: 3, Q: 2, Steps: 10, StepSize: 4}, 3)
 	assertMatchesReference(t, CA, Config{N: 24, TileRows: 4, P: 2, Steps: 7, StepSize: 1}, 2)
+	// With StepSize 1 every boundary tile takes a 1x1 corner payload from
+	// its interior diagonal neighbor each step, and nothing flows back along
+	// that diagonal: the consumer throttles the producer only through two
+	// cardinal hops, so the producer can run three steps ahead and the
+	// corner ring must be 3 slots deep (at depth 2 a slot is produced twice).
+	// A 2x2 node grid gives every node corner-fed boundary tiles on two
+	// sides; four workers let producers race ahead of their consumers.
+	assertMatchesReference(t, CA, Config{N: 48, TileRows: 8, P: 2, Q: 2, Steps: 9, StepSize: 1}, 4)
 }

@@ -1,22 +1,10 @@
 package core
 
-import (
-	"encoding/binary"
-	"math"
-
-	"castencil/internal/grid"
-)
+import "castencil/internal/grid"
 
 // TileKey addresses a tile's persistent state in a node store.
 type TileKey struct {
 	TI, TJ int
-}
-
-// BufKey addresses a packed halo buffer: the data tile (TI, TJ) produced at
-// iteration Step, flowing toward its neighbor in direction Dir.
-type BufKey struct {
-	TI, TJ, Step int
-	Dir          grid.Dir
 }
 
 // tileState is the double-buffered tile a task chain owns. Only the tasks
@@ -24,29 +12,4 @@ type BufKey struct {
 type tileState struct {
 	cur, next *grid.Tile
 	r0, c0    int // global origin
-}
-
-// EncodeFloats serializes a float64 slice for inter-node transport. The PTG
-// fast path now serializes tiles straight to wire buffers (grid.Tile.
-// PackBytes) and never calls this; it remains the transport of the DTD
-// front-end and of the keyed fallback used by engines without slot support.
-// The wire format is identical: little-endian IEEE-754 bits, row-major.
-func EncodeFloats(vals []float64) []byte {
-	out := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
-	}
-	return out
-}
-
-// DecodeFloats deserializes an inter-node payload.
-func DecodeFloats(data []byte) []float64 {
-	if len(data)%8 != 0 {
-		panic("core: payload length not a multiple of 8")
-	}
-	out := make([]float64, len(data)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
-	}
-	return out
 }

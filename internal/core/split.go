@@ -62,12 +62,12 @@ func cornerSides(d grid.Dir) (grid.Dir, grid.Dir) {
 
 // splitGeom is the region decomposition of one (tile, iteration) task.
 type splitGeom struct {
-	ok     bool                     // task is splittable
-	update grid.Rect                // full update rect (CA trapezoid region or interior)
-	inner  grid.Rect                // halo-independent interior part
-	has    [grid.NumDirs]bool       // incoming halo flow from direction d
-	part   [grid.NumDirs]bool       // border part d exists (edges cardinal, corners diagonal)
-	rects  [grid.NumDirs]grid.Rect  // border part update rects
+	ok     bool                    // task is splittable
+	update grid.Rect               // full update rect (CA trapezoid region or interior)
+	inner  grid.Rect               // halo-independent interior part
+	has    [grid.NumDirs]bool      // incoming halo flow from direction d
+	part   [grid.NumDirs]bool      // border part d exists (edges cardinal, corners diagonal)
+	rects  [grid.NumDirs]grid.Rect // border part update rects
 }
 
 // splitGeom decomposes tile inf's iteration-t update rectangle. The

@@ -114,6 +114,44 @@ func forcedPlan(t testing.TB, v Variant, cfg Config, ranks, victim, thief, count
 	return nil
 }
 
+// cornerPlan scripts every migratable boundary task of rank victim for thief
+// and fails unless the migrated tasks consume at least one corner flow from
+// an interior producer. Under CA with StepSize 1 those 1x1 payloads ride
+// their own 3-deep slot ring (see slotDepth), which a plan made of the
+// first few tasks never reaches.
+func cornerPlan(t testing.TB, v Variant, cfg Config, ranks, victim, thief int) []runtime.ForcedSteal {
+	t.Helper()
+	g, err := BuildGraph(v, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := cfg.Partition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := part.Nodes()
+	var plan []runtime.ForcedSteal
+	corners := 0
+	for i := range g.Tasks {
+		tk := &g.Tasks[i]
+		if tk.Mig == nil || tk.Kind != ptg.KindBoundary ||
+			runtime.RankOfNode(int(tk.Node), nodes, ranks) != victim {
+			continue
+		}
+		plan = append(plan, runtime.ForcedSteal{Task: int32(i), Thief: thief})
+		for _, d := range tk.Deps {
+			p := g.Tasks[d.Producer].ID
+			if p.I != tk.ID.I && p.J != tk.ID.J && !part.IsNodeBoundary(p.I, p.J) {
+				corners++
+			}
+		}
+	}
+	if corners == 0 {
+		t.Fatalf("%d boundary tasks on rank %d consume no interior corner flow", len(plan), victim)
+	}
+	return plan
+}
+
 // TestDistributedStealDeterminism is the steal tentpole's determinism suite:
 // on the skewed two-rank shape, every dynamic policy (off, greedy, gated)
 // crossed with both coalesce modes must produce a grid bitwise identical to
@@ -188,17 +226,26 @@ func TestDistributedStealFourRanks(t *testing.T) {
 // after the fold.
 func TestDistributedStealForcedParity(t *testing.T) {
 	cases := []struct {
-		v   Variant
-		cfg Config
+		name string
+		v    Variant
+		cfg  Config
 	}{
-		{Base, Config{N: 80, TileRows: 16, P: 2, Steps: 4}},
-		{CA, Config{N: 80, TileRows: 16, P: 2, Steps: 4, StepSize: 2}},
-		{WF, stealSkewed()},
+		{"base", Base, Config{N: 80, TileRows: 16, P: 2, Steps: 4}},
+		{"ca", CA, Config{N: 80, TileRows: 16, P: 2, Steps: 4, StepSize: 2}},
+		{"wf", WF, stealSkewed()},
+		// CA StepSize 1: the plan migrates boundary tasks fed by interior
+		// corner flows, moving those payloads through their slot ring.
+		{"ca-s1-corners", CA, Config{N: 48, TileRows: 8, P: 2, Q: 2, Steps: 5, StepSize: 1}},
 	}
 	ts := connectMeshN(t, 2)
 	for _, c := range cases {
-		t.Run(fmt.Sprintf("%v", c.v), func(t *testing.T) {
-			plan := forcedPlan(t, c.v, c.cfg, 2, 0, 1, 3)
+		t.Run(c.name, func(t *testing.T) {
+			var plan []runtime.ForcedSteal
+			if c.cfg.StepSize == 1 {
+				plan = cornerPlan(t, c.v, c.cfg, 2, 0, 1)
+			} else {
+				plan = forcedPlan(t, c.v, c.cfg, 2, 0, 1, 3)
+			}
 			base := runtime.Options{Workers: 1, Sched: runtime.WorkStealing}
 			single, err := RunReal(c.v, c.cfg, base)
 			if err != nil {

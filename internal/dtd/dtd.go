@@ -12,9 +12,10 @@
 package dtd
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
-	"castencil/internal/core"
 	"castencil/internal/ptg"
 	"castencil/internal/runtime"
 )
@@ -281,5 +282,24 @@ func (ins *Inserter) Fetch(stores []*runtime.Store, key any) ([]float64, error) 
 	return v.([]float64), nil
 }
 
-func encode(vals []float64) []byte { return core.EncodeFloats(vals) }
-func decode(data []byte) []float64 { return core.DecodeFloats(data) }
+// encode serializes a float64 slice for inter-node transport:
+// little-endian IEEE-754 bits, in slice order.
+func encode(vals []float64) []byte {
+	out := make([]byte, 8*len(vals))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
+	}
+	return out
+}
+
+// decode deserializes an inter-node payload written by encode.
+func decode(data []byte) []float64 {
+	if len(data)%8 != 0 {
+		panic("dtd: payload length not a multiple of 8")
+	}
+	out := make([]float64, len(data)/8)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
+	}
+	return out
+}

@@ -74,8 +74,8 @@ func (c *cache) put(fp string, res *server.Result, size int64) (evicted int) {
 	return evicted
 }
 
-func (c *cache) len() int     { return len(c.entries) }
-func (c *cache) size() int64  { return c.bytes }
+func (c *cache) len() int    { return len(c.entries) }
+func (c *cache) size() int64 { return c.bytes }
 
 func (c *cache) push(e *entry) {
 	e.prev, e.next = nil, c.head

@@ -67,6 +67,14 @@ func (k Kind) String() string {
 // real runtime. Get/Put/Take operate on the node's private store; tasks of
 // one node never see another node's store (node isolation — the analog of
 // distributed memory).
+//
+// Graphs whose dataflow is static at build time (the stencil graphs) also
+// address the store through integer slots reserved via Builder.AllocSlot/
+// AllocBufSlot: plain array indexing instead of the mutex-protected key map,
+// which keeps lock and hash traffic off the hot path. Slot accesses carry no
+// locking of their own: the runtime's scheduling edges (ready-queue handoff,
+// send/inbox channels, pending-counter atomics) already order every producer
+// before its consumer.
 type Env interface {
 	NodeID() int
 	// Put stores a write-once value under a key. Putting an existing key
@@ -77,22 +85,6 @@ type Env interface {
 	Take(key any) any
 	// Get returns a value without removing it (nil if absent).
 	Get(key any) any
-}
-
-// SlotEnv is an optional extension of Env offered by engines that support
-// precomputed key slots. When a graph's dataflow keys are static (known at
-// build time, as in the stencil graphs), the builder can reserve integer
-// slots via Builder.AllocSlot/AllocBufSlot and task bodies can exchange
-// values through direct array indexing instead of the mutex-protected key
-// map — removing per-Put/Take lock and hash traffic from the hot path.
-// Bodies must fall back to the keyed Env methods when the assertion to
-// SlotEnv fails, so graphs stay runnable on engines without slot support.
-//
-// Slot accesses carry no locking of their own: the runtime's scheduling
-// edges (ready-queue handoff, send/inbox channels, pending-counter atomics)
-// already order every producer before its consumer.
-type SlotEnv interface {
-	Env
 	// PutSlot stores a write-once value in a general slot (persistent
 	// state such as tile buffers). Reusing an occupied slot panics.
 	PutSlot(slot int32, v any)
@@ -195,8 +187,7 @@ type Graph struct {
 	Tasks    []Task
 	// NodeSlots and NodeBufSlots are the per-node counts of general and
 	// buffer slots reserved at build time (nil when the graph uses keyed
-	// dataflow only). Engines with slot support size their stores from
-	// these.
+	// dataflow only). The real engine sizes its stores from these.
 	NodeSlots    []int
 	NodeBufSlots []int
 	index        map[TaskID]int32
@@ -261,7 +252,7 @@ func (b *Builder) AddTask(t Task) (int32, error) {
 
 // AllocSlot reserves a general store slot on a node and returns its index.
 // Slots let bodies bypass the keyed store for dataflow values whose keys
-// are static at build time (see SlotEnv).
+// are static at build time (see Env).
 func (b *Builder) AllocSlot(node int32) int32 {
 	if b.slots == nil {
 		b.slots = make([]int, b.numNodes)

@@ -352,8 +352,8 @@ func (e env) Put(k, v any)   { e.store.Put(k, v) }
 func (e env) Take(k any) any { return e.store.Take(k) }
 func (e env) Get(k any) any  { return e.store.Get(k) }
 
-// env implements ptg.SlotEnv: slot traffic goes straight to the store's
-// preallocated arrays, skipping the keyed map's mutex and hashing.
+// Slot traffic goes straight to the store's preallocated arrays, skipping
+// the keyed map's mutex and hashing.
 func (e env) PutSlot(slot int32, v any)       { e.store.PutSlot(slot, v) }
 func (e env) GetSlot(slot int32) any          { return e.store.GetSlot(slot) }
 func (e env) PutBufSlot(slot int32, b []byte) { e.store.PutBufSlot(slot, b) }

@@ -12,7 +12,7 @@ import (
 //
 // In addition to the keyed map, a store can carry preallocated slots —
 // fixed arrays of general values and message-payload buffers reserved at
-// graph-build time (ptg.SlotEnv). Slot accesses are plain array indexing
+// graph-build time (see ptg.Env). Slot accesses are plain array indexing
 // with no lock or hash: the runtime's scheduling edges already order every
 // slot producer before its consumer, which is exactly the property that
 // makes the keyed map's mutex redundant on the hot path.

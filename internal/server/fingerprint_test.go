@@ -2,6 +2,8 @@ package server
 
 import (
 	"encoding/hex"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -143,5 +145,64 @@ func TestSpecValidate(t *testing.T) {
 	neg.N = 0
 	if err := neg.Validate(); err == nil {
 		t.Fatal("n=0 accepted")
+	}
+}
+
+// TestFingerprintClassifiesEverySpecField is the cache-soundness guard: every
+// Spec field, by JSON name, must be classified exactly as in Fingerprint's
+// doc comment — hashed (result-affecting) or excluded (execution- or
+// policy-only) — and the classification must hold: perturbing a hashed field
+// changes the fingerprint, perturbing an excluded one does not. A new field
+// fails here until someone decides whether the cache key must cover it.
+func TestFingerprintClassifiesEverySpecField(t *testing.T) {
+	hashed := map[string]bool{
+		"engine": true, "variant": true, "plan": true, "n": true, "tile": true,
+		"nodes": true, "steps": true, "step_size": true, "wavefront": true, "seed": true,
+	}
+	excluded := map[string]bool{
+		// Execution-only.
+		"workers": true, "sched": true, "coalesce": true, "steal": true,
+		"transform": true, "ranks": true,
+		// Policy-only.
+		"tenant": true, "cache": true, "priority": true, "timeout_ms": true,
+		"fault": true, "machine": true, "ratio": true,
+	}
+	base := fpBaseSpec()
+	typ := reflect.TypeOf(base)
+	seen := map[string]bool{}
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		seen[name] = true
+		if hashed[name] == excluded[name] {
+			t.Errorf("Spec.%s (json %q) must be listed as exactly one of hashed or excluded", f.Name, name)
+			continue
+		}
+		s := base
+		v := reflect.ValueOf(&s).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.String:
+			v.SetString(v.String() + "-perturbed")
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Uint64:
+			v.SetUint(v.Uint() + 1)
+		case reflect.Float64:
+			v.SetFloat(v.Float() + 1)
+		default:
+			t.Errorf("Spec.%s: no perturbation for kind %v", f.Name, v.Kind())
+			continue
+		}
+		if changed := s.Fingerprint() != base.Fingerprint(); changed != hashed[name] {
+			t.Errorf("Spec.%s (json %q): listed hashed=%v but perturbing it changed the fingerprint: %v",
+				f.Name, name, hashed[name], changed)
+		}
+	}
+	for _, list := range []map[string]bool{hashed, excluded} {
+		for name := range list {
+			if !seen[name] {
+				t.Errorf("classified field %q is not a Spec field", name)
+			}
+		}
 	}
 }

@@ -109,17 +109,17 @@ type Spec struct {
 
 	// Workers is the per-node worker count for real jobs; 0 lets the
 	// manager divide its worker budget across concurrent jobs.
-	Workers  int     `json:"workers,omitempty"`
-	Sched    string  `json:"sched,omitempty"`
-	Coalesce string  `json:"coalesce,omitempty"`
+	Workers  int    `json:"workers,omitempty"`
+	Sched    string `json:"sched,omitempty"`
+	Coalesce string `json:"coalesce,omitempty"`
 	// Transform selects a graph-transformation pass ("none" or "split":
 	// inner/border task splitting for communication–computation overlap).
 	// Rejected at admission for the wf variant and for plan=auto (the
 	// planner may pick wf).
-	Transform string `json:"transform,omitempty"`
-	Fault     string `json:"fault,omitempty"`
-	Machine  string  `json:"machine,omitempty"` // sim + plan=auto; default NaCL
-	Ratio    float64 `json:"ratio,omitempty"`
+	Transform string  `json:"transform,omitempty"`
+	Fault     string  `json:"fault,omitempty"`
+	Machine   string  `json:"machine,omitempty"` // sim + plan=auto; default NaCL
+	Ratio     float64 `json:"ratio,omitempty"`
 
 	// Ranks marks the job distributed: it runs across this many stencild
 	// processes over the daemon's -ranks mesh (rank 0 broadcasts the spec,
