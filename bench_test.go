@@ -307,6 +307,7 @@ func BenchmarkDESEventThroughput(b *testing.B) {
 // BenchmarkGraphBuild measures task-graph construction (cost-only).
 func BenchmarkGraphBuild(b *testing.B) {
 	cfg := core.Config{N: 5760, TileRows: 288, P: 4, Steps: 10, StepSize: 5}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.BuildGraph(core.CA, cfg); err != nil {

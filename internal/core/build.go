@@ -18,6 +18,9 @@ type tileInfo struct {
 	// deep ghost region and phase-based communication.
 	boundary bool
 	halo     int
+	// nbr[d] is the neighboring tile toward direction d, nil on the global
+	// boundary.
+	nbr [grid.NumDirs]*tileInfo
 
 	// Store slots every payload moves through, reserved at build time when
 	// the graph carries bodies. stateSlot holds the tile's *tileState;
@@ -36,13 +39,21 @@ type tileInfo struct {
 type slotRange struct{ base, depth int32 }
 
 type builder struct {
-	v    Variant
-	cfg  Config
-	part *grid.Partition
-	info [][]*tileInfo
+	v     Variant
+	cfg   Config
+	part  *grid.Partition
+	tiles []tileInfo // row-major over the tile grid
 	// epochs is the number of compute tasks per tile: Steps for the
 	// per-step variants, ceil(Steps/w) wavefront blocks for WF.
 	epochs int
+	// out[k][d] is the depth of the halo flow task k (see taskIndex)
+	// produces toward direction d, 0 for none: flow() evaluated once per
+	// (tile, direction, iteration) and shared by the deps, hints,
+	// migration hooks and bodies.
+	out [][grid.NumDirs]int32
+	// flows counts the graph's halo flows; it sizes the dependency and
+	// migration arrays.
+	flows int
 }
 
 // effWidth returns the number of time steps WF block t (1-based) advances:
@@ -55,23 +66,20 @@ func (b *builder) effWidth(t int) int {
 	return w
 }
 
-// BuildGraph constructs the task graph of a stencil variant. With
-// cfg.WithBodies the graph is executable by internal/runtime; without, it is
-// a cost-only graph for internal/desim.
-func BuildGraph(v Variant, cfg Config) (*ptg.Graph, error) {
-	cfg = cfg.withDefaults()
-	part, err := cfg.validate(v)
-	if err != nil {
-		return nil, err
+// newBuilder lays out the tile grid and evaluates every task's outgoing
+// flows.
+func newBuilder(v Variant, cfg Config, part *grid.Partition) *builder {
+	bd := &builder{v: v, cfg: cfg, part: part, tiles: make([]tileInfo, part.TR*part.TC)}
+	bd.epochs = cfg.Steps
+	if v == WF {
+		bd.epochs = (cfg.Steps + cfg.Wavefront - 1) / cfg.Wavefront
 	}
-	bd := &builder{v: v, cfg: cfg, part: part}
-	bd.info = make([][]*tileInfo, part.TR)
 	for ti := 0; ti < part.TR; ti++ {
-		bd.info[ti] = make([]*tileInfo, part.TC)
 		for tj := 0; tj < part.TC; tj++ {
 			rows, cols := part.TileDims(ti, tj)
 			r0, c0 := part.TileOrigin(ti, tj)
-			inf := &tileInfo{
+			inf := bd.tile(ti, tj)
+			*inf = tileInfo{
 				ti: ti, tj: tj, rows: rows, cols: cols, r0: r0, c0: c0,
 				node:     int32(part.Owner(ti, tj)),
 				boundary: part.IsNodeBoundary(ti, tj),
@@ -85,79 +93,137 @@ func BuildGraph(v Variant, cfg Config) (*ptg.Graph, error) {
 				// intra-node ones included — happen once per block.
 				inf.halo = cfg.Wavefront
 			}
-			bd.info[ti][tj] = inf
-		}
-	}
-
-	bd.epochs = cfg.Steps
-	if v == WF {
-		bd.epochs = (cfg.Steps + cfg.Wavefront - 1) / cfg.Wavefront
-	}
-	gb := ptg.NewBuilder(part.Nodes())
-	if cfg.WithBodies {
-		bd.allocSlots(gb)
-	}
-	// Tasks: one chain per tile, epochs 0 (init) .. epochs — one task per
-	// step for Base/CA, one per wavefront block for WF.
-	for ti := 0; ti < part.TR; ti++ {
-		for tj := 0; tj < part.TC; tj++ {
-			inf := bd.info[ti][tj]
-			for t := 0; t <= bd.epochs; t++ {
-				task := ptg.Task{
-					ID:       taskID(ti, tj, t),
-					Node:     inf.node,
-					Kind:     bd.kind(inf, t),
-					Priority: bd.priority(inf, t),
-					// The iteration index is the exchange epoch: all halo
-					// payloads a node produces at one iteration toward one
-					// neighbor may ride a single coalesced bundle.
-					Epoch: int32(t),
-					Hint:  bd.hint(inf, t),
-				}
-				if cfg.WithBodies {
-					task.Run = bd.body(inf, t)
-				}
-				task.Mig = bd.migration(inf, t)
-				if _, err := gb.AddTask(task); err != nil {
-					return nil, err
+			for _, d := range grid.AllDirs {
+				if ni, nj, ok := part.Neighbor(ti, tj, d); ok {
+					inf.nbr[d] = bd.tile(ni, nj)
 				}
 			}
 		}
 	}
-	// Dependencies.
-	for ti := 0; ti < part.TR; ti++ {
-		for tj := 0; tj < part.TC; tj++ {
-			inf := bd.info[ti][tj]
-			for t := 1; t <= bd.epochs; t++ {
-				// Serial self-dependency: the tile's double buffer.
-				if err := gb.AddDep(taskID(ti, tj, t), taskID(ti, tj, t-1), ptg.Dep{}); err != nil {
-					return nil, err
+	bd.out = make([][grid.NumDirs]int32, len(bd.tiles)*(bd.epochs+1))
+	for i := range bd.tiles {
+		inf := &bd.tiles[i]
+		for t := 0; t <= bd.epochs; t++ {
+			out := &bd.out[bd.taskIndex(inf, t)]
+			for _, d := range grid.AllDirs {
+				if depth, ok := bd.flow(inf, d, t); ok {
+					out[d] = int32(depth)
+					bd.flows++
 				}
-				for _, d := range grid.AllDirs {
-					p := bd.neighbor(inf, d)
-					if p == nil {
-						continue
+			}
+		}
+	}
+	return bd
+}
+
+func (b *builder) tile(ti, tj int) *tileInfo { return &b.tiles[ti*b.part.TC+tj] }
+
+// taskIndex is the index of tile inf's iteration-t task: the graph holds
+// one chain of epochs+1 tasks per tile, tiles in row-major order.
+func (b *builder) taskIndex(inf *tileInfo, t int) int32 {
+	return int32((inf.ti*b.part.TC+inf.tj)*(b.epochs+1) + t)
+}
+
+// outDepth is the depth of the halo tile inf produces toward d after
+// iteration t, 0 when there is no such flow.
+func (b *builder) outDepth(inf *tileInfo, d grid.Dir, t int) int {
+	return int(b.out[b.taskIndex(inf, t)][d])
+}
+
+// inDepth is the depth of the halo arriving at tile inf from direction d
+// that feeds its iteration t (>= 1), 0 when there is no such flow.
+func (b *builder) inDepth(inf *tileInfo, d grid.Dir, t int) int {
+	p := inf.nbr[d]
+	if p == nil {
+		return 0
+	}
+	return b.outDepth(p, d.Opposite(), t-1)
+}
+
+// BuildGraph constructs the task graph of a stencil variant. With
+// cfg.WithBodies the graph is executable by internal/runtime; without, it is
+// a cost-only graph for internal/desim.
+//
+// The task and dependency counts are known before the first task is added,
+// so the graph's arrays, the migration hooks and their flow lists are each
+// allocated once; only task bodies and cross-node Pack/Unpack closures cost
+// a per-task allocation.
+func BuildGraph(v Variant, cfg Config) (*ptg.Graph, error) {
+	cfg = cfg.withDefaults()
+	part, err := cfg.validate(v)
+	if err != nil {
+		return nil, err
+	}
+	bd := newBuilder(v, cfg, part)
+	gb := ptg.NewBuilder(part.Nodes())
+	gb.Reserve(len(bd.out), len(bd.tiles)*bd.epochs+bd.flows)
+	if cfg.WithBodies {
+		bd.allocSlots(gb)
+	}
+	// Migration hooks of every compute task, with their flow lists: every
+	// flow is an input of its consumer and at most an output of its
+	// producer.
+	migs := make([]tileMig, len(bd.tiles)*bd.epochs)
+	migFlows := make([]migFlow, 0, 2*bd.flows)
+	// Tasks: one chain per tile, epochs 0 (init) .. epochs — one task per
+	// step for Base/CA, one per wavefront block for WF.
+	for i := range bd.tiles {
+		inf := &bd.tiles[i]
+		for t := 0; t <= bd.epochs; t++ {
+			task := ptg.Task{
+				ID:       taskID(inf.ti, inf.tj, t),
+				Node:     inf.node,
+				Kind:     bd.kind(inf, t),
+				Priority: bd.priority(inf, t),
+				// The iteration index is the exchange epoch: all halo
+				// payloads a node produces at one iteration toward one
+				// neighbor may ride a single coalesced bundle.
+				Epoch: int32(t),
+				Hint:  bd.hint(inf, t),
+			}
+			if cfg.WithBodies {
+				task.Run = bd.body(inf, t)
+			}
+			if t > 0 {
+				// Init allocates the tile state; it never migrates.
+				m := &migs[i*bd.epochs+t-1]
+				migFlows = bd.migration(m, migFlows, inf, t)
+				task.Mig = &m.Migration
+			}
+			if _, err := gb.AddTask(task); err != nil {
+				return nil, err
+			}
+		}
+	}
+	// Dependencies, consumer by consumer in task order.
+	for i := range bd.tiles {
+		inf := &bd.tiles[i]
+		for t := 1; t <= bd.epochs; t++ {
+			k := bd.taskIndex(inf, t)
+			// Serial self-dependency: the tile's double buffer.
+			if err := gb.AddDepIdx(k, k-1, ptg.Dep{}); err != nil {
+				return nil, err
+			}
+			for _, d := range grid.AllDirs {
+				depth := bd.inDepth(inf, d, t)
+				if depth == 0 {
+					continue
+				}
+				p := inf.nbr[d]
+				dep := ptg.Dep{}
+				if p.node != inf.node {
+					dep.Bytes = bd.sendRect(p, d.Opposite(), depth).Bytes()
+					if cfg.WithBodies {
+						ss := bd.slotOf(p.sendSlot[d.Opposite()], inf, t-1)
+						rs := bd.slotOf(inf.recvSlot[d], inf, t-1)
+						dep.Pack = func(e ptg.Env) []byte { return e.TakeBufSlot(ss) }
+						// Zero-copy: the in-flight payload itself becomes
+						// the consumer-side buffer.
+						dep.Unpack = func(e ptg.Env, data []byte) { e.PutBufSlot(rs, data) }
 					}
-					depth, ok := bd.flow(p, d.Opposite(), t-1)
-					if !ok {
-						continue
-					}
-					dep := ptg.Dep{}
-					if p.node != inf.node {
-						rect := bd.sendRect(p, d.Opposite(), depth)
-						dep.Bytes = rect.Bytes()
-						if cfg.WithBodies {
-							ss := bd.slotOf(p.sendSlot[d.Opposite()], inf, t-1)
-							rs := bd.slotOf(inf.recvSlot[d], inf, t-1)
-							dep.Pack = func(e ptg.Env) []byte { return e.TakeBufSlot(ss) }
-							// Zero-copy: the in-flight payload itself becomes
-							// the consumer-side buffer.
-							dep.Unpack = func(e ptg.Env, data []byte) { e.PutBufSlot(rs, data) }
-						}
-					}
-					if err := gb.AddDep(taskID(ti, tj, t), taskID(p.ti, p.tj, t-1), dep); err != nil {
-						return nil, err
-					}
+				}
+				if err := gb.AddDepIdx(k, bd.taskIndex(p, t-1), dep); err != nil {
+					return nil, err
 				}
 			}
 		}
@@ -182,10 +248,8 @@ func taskID(ti, tj, t int) ptg.TaskID {
 // takes); cross-node flows get a range on each side (Pack drains the
 // producer's, Unpack fills the consumer's).
 func (b *builder) allocSlots(gb *ptg.Builder) {
-	for ti := 0; ti < b.part.TR; ti++ {
-		for tj := 0; tj < b.part.TC; tj++ {
-			b.info[ti][tj].stateSlot = gb.AllocSlot(b.info[ti][tj].node)
-		}
+	for i := range b.tiles {
+		b.tiles[i].stateSlot = gb.AllocSlot(b.tiles[i].node)
 	}
 	alloc := func(node int32, depth int) slotRange {
 		r := slotRange{depth: int32(depth)}
@@ -196,26 +260,21 @@ func (b *builder) allocSlots(gb *ptg.Builder) {
 		}
 		return r
 	}
-	for ti := 0; ti < b.part.TR; ti++ {
-		for tj := 0; tj < b.part.TC; tj++ {
-			cons := b.info[ti][tj]
-			for _, d := range grid.AllDirs {
-				p := b.neighbor(cons, d)
-				if p == nil {
-					continue
-				}
-				// Every flow kind fires after iteration 0, so existence at
-				// t == 0 means the flow exists at all.
-				if _, ok := b.flow(p, d.Opposite(), 0); !ok {
-					continue
-				}
-				depth := b.slotDepth(p, cons, d)
-				p.sendSlot[d.Opposite()] = alloc(p.node, depth)
-				if cons.node == p.node {
-					cons.recvSlot[d] = p.sendSlot[d.Opposite()]
-				} else {
-					cons.recvSlot[d] = alloc(cons.node, depth)
-				}
+	for i := range b.tiles {
+		cons := &b.tiles[i]
+		for _, d := range grid.AllDirs {
+			// Every flow kind fires after iteration 0, so existence at
+			// t == 0 means the flow exists at all.
+			if b.inDepth(cons, d, 1) == 0 {
+				continue
+			}
+			p := cons.nbr[d]
+			depth := b.slotDepth(p, cons, d)
+			p.sendSlot[d.Opposite()] = alloc(p.node, depth)
+			if cons.node == p.node {
+				cons.recvSlot[d] = p.sendSlot[d.Opposite()]
+			} else {
+				cons.recvSlot[d] = alloc(cons.node, depth)
 			}
 		}
 	}
@@ -262,16 +321,10 @@ func (b *builder) slotOf(r slotRange, cons *tileInfo, t int) int32 {
 	return r.base + int32(k)%r.depth
 }
 
-func (b *builder) neighbor(inf *tileInfo, d grid.Dir) *tileInfo {
-	ni, nj, ok := b.part.Neighbor(inf.ti, inf.tj, d)
-	if !ok {
-		return nil
-	}
-	return b.info[ni][nj]
-}
-
 // flow is the single source of truth for the dataflow: does tile prod
-// produce a halo buffer toward direction d after iteration t, and how deep?
+// produce a halo buffer toward direction d after iteration t (0 <= t <=
+// epochs), and how deep? newBuilder evaluates it once per task; everything
+// else reads the result through outDepth and inDepth.
 //
 //   - Base: one-layer edges toward every cardinal neighbor, every step.
 //   - CA, consumer is a boundary tile: s-deep edges (and s x s corners from
@@ -285,15 +338,11 @@ func (b *builder) neighbor(inf *tileInfo, d grid.Dir) *tileInfo {
 //     than one step (the shrinking per-level regions read corner data,
 //     exactly as in CA).
 func (b *builder) flow(prod *tileInfo, d grid.Dir, t int) (depth int, ok bool) {
-	if t < 0 {
-		return 0, false
-	}
 	if b.v == WF {
 		if t >= b.epochs {
 			return 0, false
 		}
-		cons := b.neighbor(prod, d)
-		if cons == nil {
+		if prod.nbr[d] == nil {
 			return 0, false
 		}
 		depth = b.effWidth(t + 1)
@@ -305,7 +354,7 @@ func (b *builder) flow(prod *tileInfo, d grid.Dir, t int) (depth int, ok bool) {
 	if t >= b.cfg.Steps {
 		return 0, false
 	}
-	cons := b.neighbor(prod, d)
+	cons := prod.nbr[d]
 	if cons == nil {
 		return 0, false
 	}
@@ -378,7 +427,7 @@ func (b *builder) region(inf *tileInfo, t int) grid.Rect {
 	sp, k := b.phaseGeom(t)
 	ext := sp - k
 	extOf := func(d grid.Dir) int {
-		if ext <= 0 || b.neighbor(inf, d) == nil {
+		if ext <= 0 || inf.nbr[d] == nil {
 			return 0
 		}
 		return ext
@@ -396,7 +445,7 @@ func (b *builder) hint(inf *tileInfo, t int) ptg.CostHint {
 	h := ptg.CostHint{Rows: inf.rows, Cols: inf.cols}
 	// Points packed for outgoing flows.
 	for _, d := range grid.AllDirs {
-		if depth, ok := b.flow(inf, d, t); ok {
+		if depth := b.outDepth(inf, d, t); depth > 0 {
 			h.CopyPoints += b.sendRect(inf, d, depth).Size()
 		}
 	}
@@ -407,12 +456,8 @@ func (b *builder) hint(inf *tileInfo, t int) ptg.CostHint {
 	}
 	// Points unpacked from incoming flows.
 	for _, d := range grid.AllDirs {
-		p := b.neighbor(inf, d)
-		if p == nil {
-			continue
-		}
-		if depth, ok := b.flow(p, d.Opposite(), t-1); ok {
-			h.CopyPoints += b.sendRect(p, d.Opposite(), depth).Size()
+		if depth := b.inDepth(inf, d, t); depth > 0 {
+			h.CopyPoints += b.sendRect(inf.nbr[d], d.Opposite(), depth).Size()
 		}
 	}
 	h.Updates = inf.rows * inf.cols
@@ -438,7 +483,7 @@ func (b *builder) hint(inf *tileInfo, t int) ptg.CostHint {
 // with neighbors).
 func (b *builder) wfRegions(inf *tileInfo, wb int) []grid.Rect {
 	return stencil.WavefrontRegions(inf.rows, inf.cols, wb, func(d grid.Dir) bool {
-		return b.neighbor(inf, d) != nil
+		return inf.nbr[d] != nil
 	})
 }
 
@@ -473,26 +518,25 @@ func (b *builder) initBody(inf *tileInfo) func(ptg.Env) {
 }
 
 func (b *builder) computeBody(inf *tileInfo, t int) func(ptg.Env) {
-	w := b.cfg.Weights
-	w9 := b.cfg.Weights9
-	nine := b.cfg.NinePoint
-	deepTile := b.v == CA && inf.boundary
-	var rect grid.Rect
-	if deepTile {
+	rect := grid.Rect{R0: 0, C0: 0, H: inf.rows, W: inf.cols}
+	if b.v == CA && inf.boundary {
 		rect = b.region(inf, t)
-	} else {
-		rect = grid.Rect{R0: 0, C0: 0, H: inf.rows, W: inf.cols}
 	}
 	return func(e ptg.Env) {
 		st := b.state(e, inf)
 		b.consume(e, st, inf, t)
-		if nine {
-			stencil.Apply9(w9, st.next, st.cur, rect)
-		} else {
-			stencil.Apply(w, st.next, st.cur, rect)
-		}
+		b.apply(st, rect)
 		st.cur, st.next = st.next, st.cur
 		b.produce(e, st, inf, t)
+	}
+}
+
+// apply runs one stencil sweep of rect from cur into next.
+func (b *builder) apply(st *tileState, rect grid.Rect) {
+	if b.cfg.NinePoint {
+		stencil.Apply9(b.cfg.Weights9, st.next, st.cur, rect)
+	} else {
+		stencil.Apply(b.cfg.Weights, st.next, st.cur, rect)
 	}
 }
 
@@ -502,18 +546,15 @@ func (b *builder) computeBody(inf *tileInfo, t int) func(ptg.Env) {
 // kernel leaves the final level in whichever buffer the depth's parity picks,
 // so the double-buffer swap is conditional.
 func (b *builder) wavefrontBody(inf *tileInfo, t int) func(ptg.Env) {
-	w := b.cfg.Weights
-	w9 := b.cfg.Weights9
-	nine := b.cfg.NinePoint
 	regions := b.wfRegions(inf, b.effWidth(t))
 	return func(e ptg.Env) {
 		st := b.state(e, inf)
 		b.consume(e, st, inf, t)
 		var res *grid.Tile
-		if nine {
-			res = stencil.Wavefront9(w9, st.cur, st.next, regions)
+		if b.cfg.NinePoint {
+			res = stencil.Wavefront9(b.cfg.Weights9, st.cur, st.next, regions)
 		} else {
-			res = stencil.Wavefront(w, st.cur, st.next, regions)
+			res = stencil.Wavefront(b.cfg.Weights, st.cur, st.next, regions)
 		}
 		if res != st.cur {
 			st.cur, st.next = st.next, st.cur
@@ -526,14 +567,14 @@ func (b *builder) wavefrontBody(inf *tileInfo, t int) func(ptg.Env) {
 // is serialized straight into a pooled wire buffer (Tile.PackBytes) and
 // deposited in the flow's round-robin slot.
 func (b *builder) produce(e ptg.Env, st *tileState, inf *tileInfo, t int) {
+	out := &b.out[b.taskIndex(inf, t)]
 	for _, d := range grid.AllDirs {
-		depth, ok := b.flow(inf, d, t)
-		if !ok {
+		if out[d] == 0 {
 			continue
 		}
-		rc := st.cur.SendRect(d, depth)
+		rc := st.cur.SendRect(d, int(out[d]))
 		buf := st.cur.PackBytes(rc, runtime.GetBuf(rc.Bytes()))
-		e.PutBufSlot(b.slotOf(inf.sendSlot[d], b.neighbor(inf, d), t), buf)
+		e.PutBufSlot(b.slotOf(inf.sendSlot[d], inf.nbr[d], t), buf)
 	}
 }
 
@@ -552,12 +593,8 @@ func (b *builder) consume(e ptg.Env, st *tileState, inf *tileInfo, t int) {
 // consume exactly the halo they are gated on; the unsplit path loops it
 // over all directions.
 func (b *builder) consumeDir(e ptg.Env, st *tileState, inf *tileInfo, d grid.Dir, t int) {
-	p := b.neighbor(inf, d)
-	if p == nil {
-		return
-	}
-	depth, ok := b.flow(p, d.Opposite(), t-1)
-	if !ok {
+	depth := b.inDepth(inf, d, t)
+	if depth == 0 {
 		return
 	}
 	buf := e.TakeBufSlot(b.slotOf(inf.recvSlot[d], inf, t-1))
@@ -572,12 +609,11 @@ type migFlow struct {
 	bytes int
 }
 
-// migration builds the steal-protocol hooks of the compute task at iteration
-// t (see ptg.Migration): the full ghost-inclusive tile contents plus every
-// consumed input halo travel to the thief, the post-step tile contents plus
-// every produced output halo travel back. Byte geometry is derived from the
-// same flow() truth the dependency graph uses, so InBytes/OutBytes are exact
-// on cost-only graphs too — the simulator prices migrations identically.
+// tileMig is the migration of one compute task (see ptg.Migration): the
+// full ghost-inclusive tile contents plus every consumed input halo travel
+// to the thief, the post-step tile contents plus every produced output halo
+// travel back. BuildGraph keeps all of a graph's tileMigs in one array and
+// their flow lists in another, so the hooks cost no per-task allocation.
 //
 // Determinism argument: the payload ships cur's complete storage (interior
 // and every ghost cell), so the thief executes the byte-identical kernel
@@ -585,64 +621,81 @@ type migFlow struct {
 // victim's only in ghost cells that are provably dead — every later read of
 // a ghost is preceded by a halo consume or an in-task write — so the grid a
 // committed migration leaves behind is bitwise-identical to local execution.
-func (b *builder) migration(inf *tileInfo, t int) *ptg.Migration {
-	if t == 0 {
-		return nil // init allocates the tile state; it never migrates
-	}
-	// Slots exist only on graphs with bodies; cost-only graphs need the
-	// byte geometry alone.
+type tileMig struct {
+	ptg.Migration
+	b         *builder
+	inf       *tileInfo
+	ins, outs []migFlow
+}
+
+// migration fills m for tile inf's iteration-t task, appending its input
+// and output flows to arena (which the caller sizes so it never regrows).
+// Byte geometry comes from the same flow truth the dependency graph uses,
+// so InBytes/OutBytes are exact on cost-only graphs too — the simulator
+// prices migrations identically to the real engine. Slots and hooks exist
+// only on graphs with bodies.
+func (b *builder) migration(m *tileMig, arena []migFlow, inf *tileInfo, t int) []migFlow {
 	bodies := b.cfg.WithBodies
-	var ins, outs []migFlow
+	*m = tileMig{b: b, inf: inf}
+	start := len(arena)
 	for _, d := range grid.AllDirs {
-		if p := b.neighbor(inf, d); p != nil {
-			if depth, ok := b.flow(p, d.Opposite(), t-1); ok {
-				f := migFlow{bytes: b.sendRect(p, d.Opposite(), depth).Bytes()}
-				if bodies {
-					f.slot = b.slotOf(inf.recvSlot[d], inf, t-1)
-				}
-				ins = append(ins, f)
+		if depth := b.inDepth(inf, d, t); depth > 0 {
+			f := migFlow{bytes: b.sendRect(inf.nbr[d], d.Opposite(), depth).Bytes()}
+			if bodies {
+				f.slot = b.slotOf(inf.recvSlot[d], inf, t-1)
 			}
+			arena = append(arena, f)
 		}
-		if depth, ok := b.flow(inf, d, t); ok {
+	}
+	mid := len(arena)
+	for _, d := range grid.AllDirs {
+		if depth := b.outDepth(inf, d, t); depth > 0 {
 			f := migFlow{bytes: b.sendRect(inf, d, depth).Bytes()}
 			if bodies {
-				f.slot = b.slotOf(inf.sendSlot[d], b.neighbor(inf, d), t)
+				f.slot = b.slotOf(inf.sendSlot[d], inf.nbr[d], t)
 			}
-			outs = append(outs, f)
+			arena = append(arena, f)
 		}
 	}
-	full := grid.Rect{
-		R0: -inf.halo, C0: -inf.halo,
-		H: inf.rows + 2*inf.halo, W: inf.cols + 2*inf.halo,
+	m.ins, m.outs = arena[start:mid:mid], arena[mid:len(arena):len(arena)]
+	full := m.full().Bytes()
+	m.InBytes, m.OutBytes = full, full
+	for _, f := range m.ins {
+		m.InBytes += f.bytes
 	}
-	mig := &ptg.Migration{InBytes: full.Bytes(), OutBytes: full.Bytes()}
-	for _, f := range ins {
-		mig.InBytes += f.bytes
+	for _, f := range m.outs {
+		m.OutBytes += f.bytes
 	}
-	for _, f := range outs {
-		mig.OutBytes += f.bytes
+	if bodies {
+		m.Migrator = m
 	}
-	if !bodies {
-		return mig
-	}
-	cfg := b.cfg
-	mig.PackIn = func(e ptg.Env) []byte {
-		return packMig(e, b.state(e, inf).cur, full, ins, mig.InBytes)
-	}
-	mig.Deposit = func(e ptg.Env, data []byte) {
-		depositMig(e, migState(e, inf, cfg).cur, full, ins, data)
-	}
-	mig.PackOut = func(e ptg.Env) []byte {
-		return packMig(e, b.state(e, inf).cur, full, outs, mig.OutBytes)
-	}
-	mig.Commit = func(e ptg.Env, data []byte) {
-		// The shipped result lands in next and the double buffer swaps, so
-		// cur holds exactly what a local execution's swap would have left.
-		st := b.state(e, inf)
-		depositMig(e, st.next, full, outs, data)
-		st.cur, st.next = st.next, st.cur
-	}
-	return mig
+	return arena
+}
+
+// full is the tile's whole storage, ghost cells included.
+func (m *tileMig) full() grid.Rect {
+	h := m.inf.halo
+	return grid.Rect{R0: -h, C0: -h, H: m.inf.rows + 2*h, W: m.inf.cols + 2*h}
+}
+
+func (m *tileMig) PackIn(e ptg.Env) []byte {
+	return packMig(e, m.b.state(e, m.inf).cur, m.full(), m.ins, m.InBytes)
+}
+
+func (m *tileMig) Deposit(e ptg.Env, data []byte) {
+	depositMig(e, migState(e, m.inf, m.b.cfg).cur, m.full(), m.ins, data)
+}
+
+func (m *tileMig) PackOut(e ptg.Env) []byte {
+	return packMig(e, m.b.state(e, m.inf).cur, m.full(), m.outs, m.OutBytes)
+}
+
+// Commit lands the shipped result in next and swaps the double buffer, so
+// cur holds exactly what a local execution's swap would have left.
+func (m *tileMig) Commit(e ptg.Env, data []byte) {
+	st := m.b.state(e, m.inf)
+	depositMig(e, st.next, m.full(), m.outs, data)
+	st.cur, st.next = st.next, st.cur
 }
 
 // packMig serializes a migration payload of n bytes: the full rect of tile

@@ -5,7 +5,6 @@ import (
 
 	"castencil/internal/grid"
 	"castencil/internal/ptg"
-	"castencil/internal/stencil"
 )
 
 // splitPass is the inner/border splitting rewrite (Eijkhout's latency-
@@ -90,11 +89,7 @@ func (b *builder) splitGeom(inf *tileInfo, t int) splitGeom {
 	}
 	any := false
 	for _, d := range grid.AllDirs {
-		p := b.neighbor(inf, d)
-		if p == nil {
-			continue
-		}
-		if _, ok := b.flow(p, d.Opposite(), t-1); ok {
+		if b.inDepth(inf, d, t) > 0 {
 			sg.has[d] = true
 			any = true
 		}
@@ -163,37 +158,16 @@ func interiorOverlap(rc grid.Rect, inf *tileInfo) int {
 	return (r1 - r0) * (c1 - c0)
 }
 
-// recvPoints is the number of halo points arriving from direction d at
-// iteration t (0 when no flow).
-func (b *builder) recvPoints(inf *tileInfo, d grid.Dir, t int) int {
-	p := b.neighbor(inf, d)
-	if p == nil {
-		return 0
-	}
-	depth, ok := b.flow(p, d.Opposite(), t-1)
-	if !ok {
-		return 0
-	}
-	return b.sendRect(p, d.Opposite(), depth).Size()
-}
-
 // partBody is the executable closure of a split part: unpack the one halo
 // the part is gated on (if any), then apply the stencil to the part's
 // rectangle. Same row kernels, same cells, same order as the unsplit task.
 func (b *builder) partBody(inf *tileInfo, t int, rect grid.Rect, d grid.Dir, consume bool) func(ptg.Env) {
-	w := b.cfg.Weights
-	w9 := b.cfg.Weights9
-	nine := b.cfg.NinePoint
 	return func(e ptg.Env) {
 		st := b.state(e, inf)
 		if consume {
 			b.consumeDir(e, st, inf, d, t)
 		}
-		if nine {
-			stencil.Apply9(w9, st.next, st.cur, rect)
-		} else {
-			stencil.Apply(w, st.next, st.cur, rect)
-		}
+		b.apply(st, rect)
 	}
 }
 
@@ -209,162 +183,169 @@ func (b *builder) commitBody(inf *tileInfo, t int) func(ptg.Env) {
 
 // Apply rewrites the stencil graph with inner/border splitting. Unsplit
 // tasks (init, CA boundary mid-phase steps, degenerate thin tiles) are
-// copied verbatim — bodies, hints, and dependency closures included.
+// copied verbatim — bodies, hints, and dependency closures included. A
+// split task's parts take consecutive indices: the interior, its border
+// parts in direction order, then the commit.
 func (p *splitPass) Apply(g *ptg.Graph) (*ptg.Graph, error) {
 	b := p.b
+	n := len(g.Tasks)
+	if n != len(b.out) {
+		return nil, fmt.Errorf("split: graph has %d tasks, the stencil layout %d", n, len(b.out))
+	}
 	nb := ptg.NewBuilder(g.NumNodes)
 	nb.PresetSlots(g.NodeSlots, g.NodeBufSlots)
-	geoms := make([][][]splitGeom, b.part.TR)
+	// at[k] is the new index of the task keeping original task k's ID (its
+	// commit, or its copy when unsplit); inner[k] that of a split task's
+	// interior part.
+	geoms := make([]splitGeom, n)
+	at := make([]int32, n)
+	inner := make([]int32, n)
 	// Pass 1: tasks. Split hints partition the original exactly: the
 	// interior and border Updates/RedundantUpdates sum to the unsplit
 	// task's, incoming CopyPoints land on the border task that unpacks
 	// them, outgoing CopyPoints on the commit that packs them — so both
 	// engines price the split graph with the same machine model, plus one
 	// honest per-part task overhead.
-	for ti := 0; ti < b.part.TR; ti++ {
-		geoms[ti] = make([][]splitGeom, b.part.TC)
-		for tj := 0; tj < b.part.TC; tj++ {
-			inf := b.info[ti][tj]
-			geoms[ti][tj] = make([]splitGeom, b.epochs+1)
-			for t := 0; t <= b.epochs; t++ {
-				idx, ok := g.Lookup(taskID(ti, tj, t))
-				if !ok {
-					return nil, fmt.Errorf("split: missing task %v", taskID(ti, tj, t))
-				}
-				orig := g.Tasks[idx]
-				sg := b.splitGeom(inf, t)
-				geoms[ti][tj][t] = sg
-				if !sg.ok {
-					if _, err := nb.AddTask(orig); err != nil {
-						return nil, err
-					}
-					continue
-				}
-				withBodies := orig.Run != nil
-				// Interior: fills the steal deques at base priority while
-				// border tasks (p0+1) drain first to unblock neighbors.
-				it := ptg.Task{
-					ID: innerID(ti, tj, t), Node: orig.Node, Kind: ptg.KindInner,
-					Priority: orig.Priority, Epoch: orig.Epoch,
-					Hint: ptg.CostHint{
-						Rows: sg.inner.H, Cols: sg.inner.W,
-						Updates: sg.inner.Size(),
-					},
-				}
-				if withBodies {
-					it.Run = b.partBody(inf, t, sg.inner, 0, false)
-				}
-				if _, err := nb.AddTask(it); err != nil {
+	for i := range b.tiles {
+		inf := &b.tiles[i]
+		for t := 0; t <= b.epochs; t++ {
+			k := b.taskIndex(inf, t)
+			orig := g.Tasks[k]
+			if id := taskID(inf.ti, inf.tj, t); orig.ID != id {
+				return nil, fmt.Errorf("split: missing task %v", id)
+			}
+			sg := &geoms[k]
+			*sg = b.splitGeom(inf, t)
+			var err error
+			if !sg.ok {
+				if at[k], err = nb.AddTask(orig); err != nil {
 					return nil, err
 				}
-				for _, d := range grid.AllDirs {
-					if !sg.part[d] {
-						continue
-					}
-					rc := sg.rects[d]
-					own := interiorOverlap(rc, inf)
-					bt := ptg.Task{
-						ID: borderID(ti, tj, t, d), Node: orig.Node, Kind: ptg.KindBorder,
-						Priority: orig.Priority + 1, Epoch: orig.Epoch,
-						Hint: ptg.CostHint{
-							Rows: rc.H, Cols: rc.W,
-							Updates:          own,
-							RedundantUpdates: rc.Size() - own,
-						},
-					}
-					if sg.has[d] {
-						bt.Hint.CopyPoints = b.recvPoints(inf, d, t)
-					}
-					if withBodies {
-						bt.Run = b.partBody(inf, t, rc, d, sg.has[d])
-					}
-					if _, err := nb.AddTask(bt); err != nil {
-						return nil, err
-					}
+				continue
+			}
+			withBodies := orig.Run != nil
+			// Interior: fills the steal deques at base priority while
+			// border tasks (p0+1) drain first to unblock neighbors.
+			it := ptg.Task{
+				ID: innerID(inf.ti, inf.tj, t), Node: orig.Node, Kind: ptg.KindInner,
+				Priority: orig.Priority, Epoch: orig.Epoch,
+				Hint: ptg.CostHint{
+					Rows: sg.inner.H, Cols: sg.inner.W,
+					Updates: sg.inner.Size(),
+				},
+			}
+			if withBodies {
+				it.Run = b.partBody(inf, t, sg.inner, 0, false)
+			}
+			if inner[k], err = nb.AddTask(it); err != nil {
+				return nil, err
+			}
+			for _, d := range grid.AllDirs {
+				if !sg.part[d] {
+					continue
 				}
-				ct := orig
-				ct.Priority = orig.Priority + 1
-				// The commit task only merges partial buffers; its Run is not
-				// the original kernel, so the migration hooks don't apply.
-				ct.Mig = nil
-				ct.Hint = ptg.CostHint{Rows: inf.rows, Cols: inf.cols}
-				for _, d := range grid.AllDirs {
-					if depth, ok := b.flow(inf, d, t); ok {
-						ct.Hint.CopyPoints += b.sendRect(inf, d, depth).Size()
-					}
+				rc := sg.rects[d]
+				own := interiorOverlap(rc, inf)
+				bt := ptg.Task{
+					ID: borderID(inf.ti, inf.tj, t, d), Node: orig.Node, Kind: ptg.KindBorder,
+					Priority: orig.Priority + 1, Epoch: orig.Epoch,
+					Hint: ptg.CostHint{
+						Rows: rc.H, Cols: rc.W,
+						Updates:          own,
+						RedundantUpdates: rc.Size() - own,
+					},
+				}
+				if depth := b.inDepth(inf, d, t); depth > 0 {
+					bt.Hint.CopyPoints = b.sendRect(inf.nbr[d], d.Opposite(), depth).Size()
 				}
 				if withBodies {
-					ct.Run = b.commitBody(inf, t)
+					bt.Run = b.partBody(inf, t, rc, d, sg.has[d])
 				}
-				if _, err := nb.AddTask(ct); err != nil {
+				if _, err := nb.AddTask(bt); err != nil {
 					return nil, err
 				}
 			}
+			ct := orig
+			ct.Priority = orig.Priority + 1
+			// The commit task only merges partial buffers; its Run is not
+			// the original kernel, so the migration hooks don't apply.
+			ct.Mig = nil
+			ct.Hint = ptg.CostHint{Rows: inf.rows, Cols: inf.cols}
+			for _, d := range grid.AllDirs {
+				if depth := b.outDepth(inf, d, t); depth > 0 {
+					ct.Hint.CopyPoints += b.sendRect(inf, d, depth).Size()
+				}
+			}
+			if withBodies {
+				ct.Run = b.commitBody(inf, t)
+			}
+			if at[k], err = nb.AddTask(ct); err != nil {
+				return nil, err
+			}
 		}
 	}
-	// Pass 2: dependencies.
-	for ti := 0; ti < b.part.TR; ti++ {
-		for tj := 0; tj < b.part.TC; tj++ {
-			inf := b.info[ti][tj]
-			for t := 0; t <= b.epochs; t++ {
-				idx, _ := g.Lookup(taskID(ti, tj, t))
-				orig := &g.Tasks[idx]
-				sg := &geoms[ti][tj][t]
-				if !sg.ok {
-					// Replay the original dependencies verbatim; producer
-					// IDs are unchanged whether or not the producer was
-					// split (its commit keeps the ID).
-					for _, dp := range orig.Deps {
-						if err := nb.AddDep(orig.ID, g.Tasks[dp.Producer].ID, dp); err != nil {
-							return nil, err
-						}
+	// Pass 2: dependencies, consumer by consumer in new task order.
+	for i := range b.tiles {
+		inf := &b.tiles[i]
+		for t := 0; t <= b.epochs; t++ {
+			k := b.taskIndex(inf, t)
+			orig := &g.Tasks[k]
+			sg := &geoms[k]
+			if !sg.ok {
+				// Replay the original dependencies verbatim, onto the
+				// tasks that keep their producers' IDs.
+				for _, dp := range orig.Deps {
+					if err := nb.AddDepIdx(at[k], at[dp.Producer], dp); err != nil {
+						return nil, err
 					}
+				}
+				continue
+			}
+			prev := at[k-1]
+			if err := nb.AddDepIdx(inner[k], prev, ptg.Dep{}); err != nil {
+				return nil, err
+			}
+			for _, d := range grid.AllDirs {
+				if !sg.part[d] {
 					continue
 				}
-				prev := taskID(ti, tj, t-1)
-				commit := orig.ID
-				if err := nb.AddDep(innerID(ti, tj, t), prev, ptg.Dep{}); err != nil {
-					return nil, err
+				bi := sg.partIndex(inner[k], d)
+				if d.Cardinal() {
+					// Edge: previous commit (double buffer) plus the
+					// original halo flow from direction d, reattached
+					// with its Bytes and Pack/Unpack closures intact.
+					if err := nb.AddDepIdx(bi, prev, ptg.Dep{}); err != nil {
+						return nil, err
+					}
+				} else {
+					// Corner: order after the two adjacent edges whose
+					// unpacked ghosts its stencil reads (the previous
+					// commit is implied transitively).
+					ca, cb := cornerSides(d)
+					if err := nb.AddDepIdx(bi, sg.partIndex(inner[k], ca), ptg.Dep{}); err != nil {
+						return nil, err
+					}
+					if err := nb.AddDepIdx(bi, sg.partIndex(inner[k], cb), ptg.Dep{}); err != nil {
+						return nil, err
+					}
 				}
-				if err := nb.AddDep(commit, innerID(ti, tj, t), ptg.Dep{}); err != nil {
-					return nil, err
+				if sg.has[d] {
+					pk := b.taskIndex(inf.nbr[d], t-1)
+					dp, err := findFlowDep(g, orig, pk)
+					if err != nil {
+						return nil, err
+					}
+					if err := nb.AddDepIdx(bi, at[pk], dp); err != nil {
+						return nil, err
+					}
 				}
-				for _, d := range grid.AllDirs {
-					if !sg.part[d] {
-						continue
-					}
-					bid := borderID(ti, tj, t, d)
-					if d.Cardinal() {
-						// Edge: previous commit (double buffer) plus the
-						// original halo flow from direction d, reattached
-						// with its Bytes and Pack/Unpack closures intact.
-						if err := nb.AddDep(bid, prev, ptg.Dep{}); err != nil {
-							return nil, err
-						}
-					} else {
-						// Corner: order after the two adjacent edges whose
-						// unpacked ghosts its stencil reads (the previous
-						// commit is implied transitively).
-						ca, cb := cornerSides(d)
-						if err := nb.AddDep(bid, borderID(ti, tj, t, ca), ptg.Dep{}); err != nil {
-							return nil, err
-						}
-						if err := nb.AddDep(bid, borderID(ti, tj, t, cb), ptg.Dep{}); err != nil {
-							return nil, err
-						}
-					}
-					if sg.has[d] {
-						nb1 := b.neighbor(inf, d)
-						pid := taskID(nb1.ti, nb1.tj, t-1)
-						dp, err := findFlowDep(g, orig, pid)
-						if err != nil {
-							return nil, err
-						}
-						if err := nb.AddDep(bid, pid, dp); err != nil {
-							return nil, err
-						}
-					}
-					if err := nb.AddDep(commit, bid, ptg.Dep{}); err != nil {
+			}
+			if err := nb.AddDepIdx(at[k], inner[k], ptg.Dep{}); err != nil {
+				return nil, err
+			}
+			for _, d := range grid.AllDirs {
+				if sg.part[d] {
+					if err := nb.AddDepIdx(at[k], sg.partIndex(inner[k], d), ptg.Dep{}); err != nil {
 						return nil, err
 					}
 				}
@@ -374,13 +355,31 @@ func (p *splitPass) Apply(g *ptg.Graph) (*ptg.Graph, error) {
 	return nb.Build()
 }
 
-// findFlowDep locates orig's dependency whose producer is pid; each
+// partIndex returns the new index of border part d of a split task whose
+// interior sits at inner, -1 when the part does not exist.
+func (sg *splitGeom) partIndex(inner int32, d grid.Dir) int32 {
+	if !sg.part[d] {
+		return -1
+	}
+	idx := inner
+	for _, e := range grid.AllDirs {
+		if sg.part[e] {
+			idx++
+		}
+		if e == d {
+			break
+		}
+	}
+	return idx
+}
+
+// findFlowDep locates orig's dependency on producer task pk; each
 // (consumer, producer) tile pair carries exactly one flow per iteration.
-func findFlowDep(g *ptg.Graph, orig *ptg.Task, pid ptg.TaskID) (ptg.Dep, error) {
+func findFlowDep(g *ptg.Graph, orig *ptg.Task, pk int32) (ptg.Dep, error) {
 	for _, dp := range orig.Deps {
-		if g.Tasks[dp.Producer].ID == pid {
+		if dp.Producer == pk {
 			return dp, nil
 		}
 	}
-	return ptg.Dep{}, fmt.Errorf("split: task %v has no dependency on %v", orig.ID, pid)
+	return ptg.Dep{}, fmt.Errorf("split: task %v has no dependency on %v", orig.ID, g.Tasks[pk].ID)
 }

@@ -606,29 +606,22 @@ func (s *sim) start(idx int32, at time.Duration) {
 // release propagates a finished task's outputs to its consumers.
 func (s *sim) release(idx int32, at time.Duration) {
 	t := &s.g.Tasks[idx]
-	for _, sIdx := range t.Succs {
-		c := &s.g.Tasks[sIdx]
-		for di := range c.Deps {
-			d := &c.Deps[di]
-			if d.Producer != idx {
-				continue
-			}
-			if c.Node == t.Node {
-				s.satisfy(sIdx, at)
-				continue
-			}
-			if bi, ok := s.depBundle[int64(sIdx)<<32|int64(di)]; ok {
-				// The bundle leaves when its last member is produced;
-				// events process in time order, so the decrement that
-				// reaches zero carries the departure time.
-				s.bundleRem[bi]--
-				if s.bundleRem[bi] == 0 {
-					s.sendBundleAt(bi, at)
-				}
-				continue
-			}
-			s.sendMsg(sIdx, int32(di), at)
+	for _, e := range t.Succs {
+		if s.g.Tasks[e.Succ].Node == t.Node {
+			s.satisfy(e.Succ, at)
+			continue
 		}
+		if bi, ok := s.depBundle[int64(e.Succ)<<32|int64(e.Dep)]; ok {
+			// The bundle leaves when its last member is produced;
+			// events process in time order, so the decrement that
+			// reaches zero carries the departure time.
+			s.bundleRem[bi]--
+			if s.bundleRem[bi] == 0 {
+				s.sendBundleAt(bi, at)
+			}
+			continue
+		}
+		s.sendMsg(e.Succ, e.Dep, at)
 	}
 }
 

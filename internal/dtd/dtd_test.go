@@ -161,6 +161,28 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestInsertAfterGraph checks an inserter whose graph was already built
+// reports an error, instead of panicking, on further inserts and builds.
+func TestInsertAfterGraph(t *testing.T) {
+	ins := New(1)
+	ins.Seed("x", 0, []float64{1})
+	if _, err := ins.Graph(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ins.Graph(); err == nil {
+		t.Error("second Graph accepted")
+	}
+	ins2 := New(1)
+	ins2.Seed("x", 0, []float64{1})
+	if _, err := ins2.Graph(); err != nil {
+		t.Fatal(err)
+	}
+	ins2.Insert("inc", 0, func(c Ctx) {}, RW("x"))
+	if _, err := ins2.Graph(); err == nil {
+		t.Error("Insert after Graph accepted")
+	}
+}
+
 func TestUndeclaredAccessPanicsInBody(t *testing.T) {
 	ins := New(1)
 	ins.Seed("a", 0, []float64{1})

@@ -166,24 +166,18 @@ func (g *Graph) Bundles() ([]Bundle, error) {
 		u := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		visited++
-		for _, s := range g.Tasks[u].Succs {
-			st := &g.Tasks[s]
-			for di := range st.Deps {
-				if st.Deps[di].Producer != u {
-					continue
+		for _, e := range g.Tasks[u].Succs {
+			if g.Tasks[e.Succ].Node == g.Tasks[u].Node {
+				taskIndeg[e.Succ]--
+				if taskIndeg[e.Succ] == 0 {
+					queue = append(queue, e.Succ)
 				}
-				if st.Node == g.Tasks[u].Node {
-					taskIndeg[s]--
-					if taskIndeg[s] == 0 {
-						queue = append(queue, s)
-					}
-					continue
-				}
-				bi := memberOf[int64(s)<<32|int64(di)]
-				bundleIndeg[bi]--
-				if bundleIndeg[bi] == 0 {
-					queue = append(queue, releaseBundle(bi)...)
-				}
+				continue
+			}
+			bi := memberOf[int64(e.Succ)<<32|int64(e.Dep)]
+			bundleIndeg[bi]--
+			if bundleIndeg[bi] == 0 {
+				queue = append(queue, releaseBundle(bi)...)
 			}
 		}
 	}

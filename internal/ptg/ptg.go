@@ -11,7 +11,9 @@
 package ptg
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -131,32 +133,47 @@ type Dep struct {
 	Unpack   func(env Env, data []byte)
 }
 
-// Migration makes a task stealable across ranks of a distributed run: it
-// describes how to serialize the task's entire input state out of its home
-// node's store (PackIn), materialize it on a remote rank (Deposit), ship the
-// results back (PackOut) and install them at home exactly as a local
-// execution would have (Commit). A task with a nil Mig never migrates.
+// Migration makes a task stealable across ranks of a distributed run: its
+// Migrator describes how to serialize the task's entire input state out of
+// its home node's store (PackIn), materialize it on a remote rank (Deposit),
+// ship the results back (PackOut) and install them at home exactly as a
+// local execution would have (Commit). A task with a nil Mig never migrates.
 //
 // InBytes and OutBytes are the exact payload sizes PackIn and PackOut
-// produce; they are populated even on cost-only graphs so the virtual-time
-// engine prices migrations identically to the real one.
+// produce; they are populated even on cost-only graphs (whose Migrator is
+// nil) so the virtual-time engine prices migrations identically to the real
+// one.
 type Migration struct {
 	InBytes  int
 	OutBytes int
+	Migrator
+}
+
+// Migrator implements a task's migration hooks. Graph builders typically
+// keep one implementation value per task in a per-graph array, so the hooks
+// cost no per-task closures.
+type Migrator interface {
 	// PackIn serializes the task's input state (tile contents plus every
 	// already-delivered input payload, which it consumes) from the home
 	// store. Runs on the victim rank before the task leaves.
-	PackIn func(env Env) []byte
+	PackIn(env Env) []byte
 	// Deposit installs a PackIn payload into the thief rank's store for the
 	// task's node, creating state as needed, so Run can execute unchanged.
-	Deposit func(env Env, data []byte)
+	Deposit(env Env, data []byte)
 	// PackOut serializes (and consumes) everything Run produced on the
 	// thief: the post-step tile contents and every output payload.
-	PackOut func(env Env) []byte
+	PackOut(env Env) []byte
 	// Commit installs a PackOut payload into the home store — after it the
 	// store is bitwise-identical to a local execution's, and the task's
 	// successors may be released.
-	Commit func(env Env, data []byte)
+	Commit(env Env, data []byte)
+}
+
+// Edge is one outgoing dependency edge of a task: Tasks[Succ].Deps[Dep]
+// names the task as its producer.
+type Edge struct {
+	Succ int32 // consumer task index
+	Dep  int32 // index into the consumer's Deps
 }
 
 // Task is one node of the graph.
@@ -173,7 +190,13 @@ type Task struct {
 	Epoch int32
 	Hint  CostHint
 	Deps  []Dep
-	Succs []int32 // consumer task indices, filled by Build
+	// Succs lists the task's outgoing edges, filled by Build: one entry per
+	// dependency naming this task as producer, ordered by consumer index
+	// and then by dep index. A consumer with several deps on the task (an
+	// edge and a corner flow) appears once per dep, so engines release
+	// successors by walking Succs alone. Every task's Deps and Succs are
+	// sub-slices of one flat array each.
+	Succs []Edge
 	Run   func(env Env)
 	// Mig, when non-nil, lets a distributed run migrate this task to
 	// another rank (see Migration). Kept out of the hot path: engines only
@@ -219,13 +242,21 @@ func (g *Graph) CrossNodeDeps() (count, bytes int) {
 	return s.CrossDeps, s.CrossBytes
 }
 
-// Builder accumulates tasks and dependencies and validates the result.
+// Builder accumulates tasks and dependencies and validates the result. A
+// builder produces one graph: once Build has been called, every further
+// AddTask, AddDep, AddDepIdx and Build returns an error.
 type Builder struct {
 	numNodes int
 	tasks    []Task
 	index    map[TaskID]int32
+	// deps holds every dependency in insertion order, cons its consumer.
+	// When consumers arrived in nondecreasing order deps already is the
+	// graph's flat dependency array.
+	deps     []Dep
+	cons     []int32
 	slots    []int
 	bufSlots []int
+	built    bool
 }
 
 // NewBuilder creates a builder for a graph over numNodes nodes.
@@ -233,9 +264,26 @@ func NewBuilder(numNodes int) *Builder {
 	return &Builder{numNodes: numNodes, index: make(map[TaskID]int32)}
 }
 
+// Reserve makes room for tasks more tasks and deps more dependencies, so a
+// caller that knows its graph's size up front fills each of the graph's
+// arrays without regrowing it.
+func (b *Builder) Reserve(tasks, deps int) {
+	b.tasks = slices.Grow(b.tasks, tasks)
+	if len(b.index) == 0 {
+		b.index = make(map[TaskID]int32, tasks)
+	}
+	b.deps = slices.Grow(b.deps, deps)
+	b.cons = slices.Grow(b.cons, deps)
+}
+
+var errBuilt = errors.New("ptg: builder already built its graph")
+
 // AddTask registers a task instance and returns its index. The Deps and
-// Succs fields of the argument are ignored; use AddDep.
+// Succs fields of the argument are ignored; use AddDep or AddDepIdx.
 func (b *Builder) AddTask(t Task) (int32, error) {
+	if b.built {
+		return 0, errBuilt
+	}
 	if _, dup := b.index[t.ID]; dup {
 		return 0, fmt.Errorf("ptg: duplicate task %v", t.ID)
 	}
@@ -288,9 +336,9 @@ func (b *Builder) PresetSlots(slots, bufSlots []int) {
 	}
 }
 
-// AddDep records that consumer depends on producer. Cross-node dependencies
-// must carry a positive payload size; Pack/Unpack may be nil when the graph
-// is cost-only (no bodies).
+// AddDep records that consumer depends on producer, naming both by ID.
+// Cross-node dependencies must carry a positive payload size; Pack/Unpack
+// may be nil when the graph is cost-only (no bodies).
 func (b *Builder) AddDep(consumer, producer TaskID, d Dep) error {
 	ci, ok := b.index[consumer]
 	if !ok {
@@ -300,69 +348,103 @@ func (b *Builder) AddDep(consumer, producer TaskID, d Dep) error {
 	if !ok {
 		return fmt.Errorf("ptg: unknown producer %v", producer)
 	}
-	if b.tasks[ci].Node != b.tasks[pi].Node && d.Bytes <= 0 {
-		return fmt.Errorf("ptg: cross-node dep %v -> %v needs payload bytes", producer, consumer)
+	return b.AddDepIdx(ci, pi, d)
+}
+
+// AddDepIdx is AddDep with both tasks named by the index AddTask returned.
+// A graph builder that knows its task layout adds dependencies this way,
+// without an ID lookup; adding them in nondecreasing consumer order lets
+// Build use them as the graph's dependency array without a copy.
+func (b *Builder) AddDepIdx(consumer, producer int32, d Dep) error {
+	if b.built {
+		return errBuilt
 	}
-	d.Producer = pi
-	b.tasks[ci].Deps = append(b.tasks[ci].Deps, d)
+	n := int32(len(b.tasks))
+	if consumer < 0 || consumer >= n {
+		return fmt.Errorf("ptg: unknown consumer index %d (have %d tasks)", consumer, n)
+	}
+	if producer < 0 || producer >= n {
+		return fmt.Errorf("ptg: unknown producer index %d (have %d tasks)", producer, n)
+	}
+	if b.tasks[consumer].Node != b.tasks[producer].Node && d.Bytes <= 0 {
+		return fmt.Errorf("ptg: cross-node dep %v -> %v needs payload bytes",
+			b.tasks[producer].ID, b.tasks[consumer].ID)
+	}
+	d.Producer = producer
+	b.deps = append(b.deps, d)
+	b.cons = append(b.cons, consumer)
 	return nil
 }
 
-// Build validates the graph (acyclicity via topological sort) and freezes
-// it, computing successor lists.
+// Build lays the graph out flat, validates it and freezes it. Every task's
+// Deps becomes a sub-slice of one dependency array (in insertion order per
+// consumer) and its Succs a sub-slice of one edge array; a single Kahn pass
+// then both proves the graph acyclic and computes its statistics.
 func (b *Builder) Build() (*Graph, error) {
-	n := len(b.tasks)
-	indeg := make([]int, n)
-	for i := range b.tasks {
-		t := &b.tasks[i]
-		indeg[i] = len(t.Deps)
-		for _, d := range t.Deps {
-			// A consumer appears once in the producer's successor list even
-			// when it has several dependencies on it (e.g. an edge and a
-			// corner flow); the engines scan all matching deps per entry.
-			succs := b.tasks[d.Producer].Succs
-			if n := len(succs); n > 0 && succs[n-1] == int32(i) {
-				continue
-			}
-			b.tasks[d.Producer].Succs = append(succs, int32(i))
-		}
+	if b.built {
+		return nil, errBuilt
 	}
-	// Kahn's algorithm to verify acyclicity.
-	queue := make([]int32, 0, n)
+	b.built = true
+	tasks, deps := b.tasks, b.deps
+	n := len(tasks)
+	// off[i+1] counts, then prefixes, the deps of consumer i (and later
+	// the edges of producer i).
+	off := make([]int32, n+1)
+	for _, c := range b.cons {
+		off[c+1]++
+	}
 	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, int32(i))
+		off[i+1] += off[i]
+	}
+	if !slices.IsSorted(b.cons) {
+		// A stable counting sort by consumer keeps each task's deps in
+		// insertion order.
+		deps = make([]Dep, len(b.deps))
+		next := append([]int32(nil), off[:n]...)
+		for k, c := range b.cons {
+			deps[next[c]] = b.deps[k]
+			next[c]++
 		}
 	}
-	visited := 0
-	for len(queue) > 0 {
-		u := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		visited++
-		for _, s := range b.tasks[u].Succs {
-			for _, d := range b.tasks[s].Deps {
-				if d.Producer != u {
-					continue
-				}
-				indeg[s]--
-				if indeg[s] == 0 {
-					queue = append(queue, s)
-				}
-			}
+	for i := range tasks {
+		tasks[i].Deps = deps[off[i]:off[i+1]:off[i+1]]
+	}
+	// Successor edges: count per producer, prefix, then fill in consumer
+	// order so each producer's edges come out sorted by (consumer, dep).
+	clear(off)
+	for _, d := range deps {
+		off[d.Producer+1]++
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	edges := make([]Edge, len(deps))
+	for i := range tasks {
+		for di, d := range tasks[i].Deps {
+			edges[off[d.Producer]] = Edge{Succ: int32(i), Dep: int32(di)}
+			off[d.Producer]++
 		}
 	}
-	if visited != n {
-		return nil, fmt.Errorf("ptg: graph has a dependency cycle (%d of %d tasks reachable)", visited, n)
+	// off[p] now ends producer p's edges, which start where p-1's end.
+	start := int32(0)
+	for i := range tasks {
+		tasks[i].Succs = edges[start:off[i]:off[i]]
+		start = off[i]
 	}
 	g := &Graph{
-		NumNodes: b.numNodes, Tasks: b.tasks, index: b.index,
+		NumNodes: b.numNodes, Tasks: tasks, index: b.index,
 		NodeSlots: b.slots, NodeBufSlots: b.bufSlots,
 	}
 	// Stats are computed eagerly so transforms cannot leave stale summaries
 	// behind: every (re)build refreshes them, and readers share the memo.
-	g.stats = g.computeStats()
-	b.tasks = nil
-	b.index = nil
+	stats, visited := g.summarize()
+	if visited != n {
+		return nil, fmt.Errorf("ptg: graph has a dependency cycle (%d of %d tasks reachable)", visited, n)
+	}
+	g.stats = stats
+	// The graph owns the arrays now; the index stays readable (AddDep's
+	// lookups reach AddDepIdx, which refuses) but is never written again.
+	b.tasks, b.deps, b.cons, b.slots, b.bufSlots = nil, nil, nil, nil, nil
 	return g, nil
 }
 
@@ -402,60 +484,54 @@ func (g *Graph) InvalidateStats() {
 }
 
 func (g *Graph) computeStats() *Stats {
-	s := Stats{KindCounts: make(map[string]int)}
+	s, _ := g.summarize()
+	return s
+}
+
+// summarize computes the graph's statistics in one Kahn pass over the
+// successor edges and returns them with the number of tasks the pass
+// reached; fewer than len(Tasks) means the graph has a cycle. Tasks are not
+// stored topologically, so the critical path is the deepest level the pass
+// assigns.
+func (g *Graph) summarize() (*Stats, int) {
+	n := len(g.Tasks)
+	s := Stats{Tasks: n, KindCounts: make(map[string]int)}
 	perNode := make([]int, g.NumNodes)
-	depth := make([]int, len(g.Tasks))
-	// Tasks are not stored topologically; compute depth by processing in
-	// topological order (Kahn again).
-	indeg := make([]int, len(g.Tasks))
+	indeg, depth, queue := make([]int32, n), make([]int32, n), make([]int32, 0, n)
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
 		s.Deps += len(t.Deps)
 		perNode[t.Node]++
 		s.KindCounts[t.Kind.String()]++
-		indeg[i] = len(t.Deps)
+		indeg[i] = int32(len(t.Deps))
 		for _, d := range t.Deps {
 			if g.Tasks[d.Producer].Node != t.Node {
 				s.CrossDeps++
 				s.CrossBytes += d.Bytes
 			}
 		}
-	}
-	var queue []int32
-	for i := range indeg {
 		if indeg[i] == 0 {
 			queue = append(queue, int32(i))
 			depth[i] = 1
 		}
 	}
-	maxDepth := 0
+	visited := 0
 	for len(queue) > 0 {
 		u := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		if depth[u] > maxDepth {
-			maxDepth = depth[u]
-		}
-		for _, v := range g.Tasks[u].Succs {
-			if d := depth[u] + 1; d > depth[v] {
-				depth[v] = d
-			}
-			for _, dep := range g.Tasks[v].Deps {
-				if dep.Producer != u {
-					continue
-				}
-				indeg[v]--
-				if indeg[v] == 0 {
-					queue = append(queue, v)
-				}
+		visited++
+		s.CriticalPathTasks = max(s.CriticalPathTasks, int(depth[u]))
+		for _, e := range g.Tasks[u].Succs {
+			depth[e.Succ] = max(depth[e.Succ], depth[u]+1)
+			if indeg[e.Succ]--; indeg[e.Succ] == 0 {
+				queue = append(queue, e.Succ)
 			}
 		}
 	}
-	s.Tasks = len(g.Tasks)
-	s.CriticalPathTasks = maxDepth
 	if g.NumNodes > 0 {
 		sort.Ints(perNode)
 		s.TasksPerNodeMin = perNode[0]
 		s.TasksPerNodeMax = perNode[len(perNode)-1]
 	}
-	return &s
+	return &s, visited
 }

@@ -1,6 +1,7 @@
 package ptg
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -26,7 +27,7 @@ func TestBuilderBasicChain(t *testing.T) {
 	if len(g.Tasks) != 2 {
 		t.Fatalf("tasks = %d", len(g.Tasks))
 	}
-	if len(g.Tasks[0].Succs) != 1 || g.Tasks[0].Succs[0] != 1 {
+	if len(g.Tasks[0].Succs) != 1 || g.Tasks[0].Succs[0] != (Edge{Succ: 1, Dep: 0}) {
 		t.Errorf("successor list wrong: %v", g.Tasks[0].Succs)
 	}
 	roots := g.Roots()
@@ -130,8 +131,8 @@ func TestComputeStats(t *testing.T) {
 
 func TestMultipleDepsFromSameProducer(t *testing.T) {
 	// A CA boundary task consumes both an edge and a corner flow from the
-	// same producer: the successor list must stay deduplicated and the
-	// topological machinery must still see both dependencies.
+	// same producer: the producer carries one edge per dependency, and the
+	// topological machinery must see both.
 	b := NewBuilder(2)
 	b.AddTask(Task{ID: id("p", 0, 0, 0), Node: 0})
 	b.AddTask(Task{ID: id("c", 0, 0, 0), Node: 1})
@@ -141,8 +142,8 @@ func TestMultipleDepsFromSameProducer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Tasks[0].Succs) != 1 {
-		t.Errorf("Succs = %v, want a single deduplicated entry", g.Tasks[0].Succs)
+	if want := []Edge{{Succ: 1, Dep: 0}, {Succ: 1, Dep: 1}}; !slices.Equal(g.Tasks[0].Succs, want) {
+		t.Errorf("Succs = %v, want %v", g.Tasks[0].Succs, want)
 	}
 	if len(g.Tasks[1].Deps) != 2 {
 		t.Errorf("Deps = %d, want 2", len(g.Tasks[1].Deps))

@@ -958,27 +958,19 @@ func (ex *executor) runTask(nd *execNode, core int32, idx int32, stolen bool, re
 // commit.
 func (ex *executor) releaseSuccs(nd *execNode, idx int32, ready []int32) []int32 {
 	t := &ex.g.Tasks[idx]
-	for _, sIdx := range t.Succs {
-		s := &ex.g.Tasks[sIdx]
-		for dIdx := range s.Deps {
-			if s.Deps[dIdx].Producer != idx {
-				continue
+	for _, e := range t.Succs {
+		sIdx := e.Succ
+		if ex.g.Tasks[sIdx].Node == t.Node {
+			if atomic.AddInt32(&ex.pending[sIdx], -1) == 0 && !ex.divert(sIdx) {
+				ready = append(ready, sIdx)
 			}
-			if s.Node == t.Node {
-				if atomic.AddInt32(&ex.pending[sIdx], -1) == 0 {
-					if ex.divert(sIdx) {
-						continue
-					}
-					ready = append(ready, sIdx)
-				}
-			} else if ex.depBundle != nil && ex.depBundle[sIdx][dIdx] >= 0 {
-				bi := ex.depBundle[sIdx][dIdx]
-				if ex.bundles[bi].remaining.Add(-1) == 0 {
-					nd.sendQ <- sendReq{bundle: bi + 1}
-				}
-			} else {
-				nd.sendQ <- sendReq{task: sIdx, dep: int32(dIdx)}
+		} else if ex.depBundle != nil && ex.depBundle[sIdx][e.Dep] >= 0 {
+			bi := ex.depBundle[sIdx][e.Dep]
+			if ex.bundles[bi].remaining.Add(-1) == 0 {
+				nd.sendQ <- sendReq{bundle: bi + 1}
 			}
+		} else {
+			nd.sendQ <- sendReq{task: sIdx, dep: e.Dep}
 		}
 	}
 	return ready
