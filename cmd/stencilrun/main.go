@@ -19,9 +19,17 @@ import (
 	"castencil/internal/cli"
 	"castencil/internal/core"
 	"castencil/internal/petsc"
+	"castencil/internal/ptg"
 )
 
+// fail reports err and exits. A run that failed because a transfer could
+// not be acknowledged within the recovery deadline also surfaces its
+// structured degradation report.
 func fail(err error) {
+	var rep *castencil.FaultReport
+	if errors.As(err, &rep) {
+		fmt.Fprintf(os.Stderr, "stencilrun: degraded: %v\n", rep.Stats)
+	}
 	fmt.Fprintln(os.Stderr, "stencilrun:", err)
 	os.Exit(1)
 }
@@ -158,6 +166,21 @@ func main() {
 		fail(fmt.Errorf("unknown impl %q", *impl))
 	}
 
+	// printCounters reports the coalescing, fault and split accounting the
+	// two engines share.
+	printCounters := func(c ptg.Counters, overlap float64) {
+		if c.Bundles > 0 {
+			fmt.Printf("  coalescing (%s): %d bundles carrying %d transfers, fill %.1f\n",
+				coalesceFlag.Mode, c.Bundles, c.Segments, c.BundleFill())
+		}
+		if c.Fault.Any() {
+			fmt.Printf("  fault plan %q masked: %v\n", faultFlag.Spec, c.Fault)
+		}
+		if c.InteriorTasks > 0 {
+			fmt.Printf("  split: %d interior + %d border tasks, overlap ratio %.2f\n",
+				c.InteriorTasks, c.BorderTasks, overlap)
+		}
+	}
 	switch *engine {
 	case "sim":
 		opts := []castencil.Option{
@@ -173,7 +196,6 @@ func main() {
 		}
 		res, err := castencil.Sim(variant, cfg, opts...)
 		if err != nil {
-			reportFault(err)
 			fail(err)
 		}
 		fmt.Printf("%s on %s, %d nodes, N=%d tile=%d steps=%d", variant, m.Name, *nodes, *n, *tile, *steps)
@@ -188,17 +210,7 @@ func main() {
 		}
 		fmt.Printf("\n  %.1f GFLOP/s, makespan %v, %d messages, %.1f MB sent\n",
 			res.GFLOPS, res.Makespan, res.Messages, float64(res.BytesSent)/1e6)
-		if res.Bundles > 0 {
-			fmt.Printf("  coalescing (%s): %d bundles carrying %d transfers, fill %.1f\n",
-				coalesceFlag.Mode, res.Bundles, res.Segments, res.BundleFill())
-		}
-		if res.Fault.Any() {
-			fmt.Printf("  fault plan %q masked: %v\n", faultFlag.Spec, res.Fault)
-		}
-		if res.InteriorTasks > 0 {
-			fmt.Printf("  split: %d interior + %d border tasks, overlap ratio %.2f\n",
-				res.InteriorTasks, res.BorderTasks, res.OverlapRatio)
-		}
+		printCounters(res.Counters, res.OverlapRatio)
 		if tr != nil {
 			writeTrace(tr, *traceOut, "trace of node 0")
 		}
@@ -224,7 +236,6 @@ func main() {
 		}
 		res, err := castencil.Run(variant, cfg, opts...)
 		if err != nil {
-			reportFault(err)
 			fail(err)
 		}
 		if distributed && rank != 0 {
@@ -246,17 +257,7 @@ func main() {
 					stealFlag.Mode, res.Exec.MigratedTasks, float64(res.Exec.MigratedBytes)/1e3, res.Exec.StealsRemote)
 			}
 		}
-		if res.Exec.BundlesSent > 0 {
-			fmt.Printf("  coalescing (%s): %d bundles carrying %d transfers, fill %.1f\n",
-				coalesceFlag.Mode, res.Exec.BundlesSent, res.Exec.BundleSegments, res.Exec.BundleFill())
-		}
-		if res.Exec.Fault.Any() {
-			fmt.Printf("  fault plan %q masked: %v\n", faultFlag.Spec, res.Exec.Fault)
-		}
-		if res.Exec.InteriorTasks > 0 {
-			fmt.Printf("  split: %d interior + %d border tasks, overlap ratio %.2f\n",
-				res.Exec.InteriorTasks, res.Exec.BorderTasks, res.Exec.OverlapRatio)
-		}
+		printCounters(res.Exec.Counters, res.Exec.OverlapRatio)
 		if schedFlag.Sched == castencil.WorkStealing {
 			hits, steals, parks := 0, 0, 0
 			for n := range res.Exec.NodeLocalHits {
@@ -279,15 +280,6 @@ func main() {
 		}
 	default:
 		fail(fmt.Errorf("unknown engine %q", *engine))
-	}
-}
-
-// reportFault surfaces the structured degradation report when a run failed
-// because a transfer could not be acknowledged within the recovery deadline.
-func reportFault(err error) {
-	var rep *castencil.FaultReport
-	if errors.As(err, &rep) {
-		fmt.Fprintf(os.Stderr, "stencilrun: degraded: %v\n", rep.Stats)
 	}
 }
 

@@ -154,14 +154,14 @@ func Overlap(p Params) (*Report, error) {
 					return nil, err
 				}
 				if !split {
-					msgs, bundles = res.Exec.Messages, res.Exec.BundlesSent
-				} else if res.Exec.Messages != msgs || res.Exec.BundlesSent != bundles {
+					msgs, bundles = res.Exec.Messages, res.Exec.Bundles
+				} else if res.Exec.Messages != msgs || res.Exec.Bundles != bundles {
 					r.Notes = append(r.Notes, fmt.Sprintf(
 						"TRAFFIC PARITY VIOLATED (coalesce=%v): split sent %d msgs/%d bundles, unsplit %d/%d",
-						coal, res.Exec.Messages, res.Exec.BundlesSent, msgs, bundles))
+						coal, res.Exec.Messages, res.Exec.Bundles, msgs, bundles))
 				}
 				rt.AddRow(name, coal.String(), res.Exec.Elapsed.Round(time.Millisecond).String(),
-					itoa(res.Exec.Messages), itoa(res.Exec.BundlesSent),
+					itoa(res.Exec.Messages), itoa(res.Exec.Bundles),
 					itoa(res.Exec.InteriorTasks), itoa(res.Exec.BorderTasks), f2(res.Exec.OverlapRatio))
 			}
 		}

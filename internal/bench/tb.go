@@ -137,9 +137,9 @@ func TemporalBlocking(p Params) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		bundles[v] = res.Exec.BundlesSent
+		bundles[v] = res.Exec.Bundles
 		rt.AddRow(v.String(), res.Exec.Elapsed.Round(time.Millisecond).String(),
-			itoa(res.Exec.Messages), itoa(res.Exec.BundlesSent), f1(float64(res.Exec.BytesSent)/1e6))
+			itoa(res.Exec.Messages), itoa(res.Exec.Bundles), f1(float64(res.Exec.BytesSent)/1e6))
 	}
 	r.Tables = append(r.Tables, rt)
 	if wfB := bundles[core.WF]; wfB > 0 {

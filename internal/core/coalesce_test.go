@@ -52,21 +52,21 @@ func TestCoalesceMessageCounts(t *testing.T) {
 	}
 	assertGridsBitwiseEqual(t, "coalesce=step", off.Grid, st.Grid)
 
-	if st.Exec.Messages != st.Exec.BundlesSent {
+	if st.Exec.Messages != st.Exec.Bundles {
 		t.Errorf("step mode sent %d messages but %d bundles: point-to-point traffic leaked past coalescing",
-			st.Exec.Messages, st.Exec.BundlesSent)
+			st.Exec.Messages, st.Exec.Bundles)
 	}
-	if st.Exec.BundleSegments != off.Exec.Messages {
+	if st.Exec.Segments != off.Exec.Messages {
 		t.Errorf("bundles carried %d transfers, point-to-point run sent %d messages: traffic lost or duplicated",
-			st.Exec.BundleSegments, off.Exec.Messages)
+			st.Exec.Segments, off.Exec.Messages)
 	}
 	pairs, epochs, deps := crossTraffic(t, CA, cfg)
 	if off.Exec.Messages != deps {
 		t.Errorf("point-to-point run sent %d messages, graph has %d cross deps", off.Exec.Messages, deps)
 	}
-	if max := pairs * epochs; st.Exec.BundlesSent > max {
+	if max := pairs * epochs; st.Exec.Bundles > max {
 		t.Errorf("step mode sent %d bundles, want <= %d (one per neighbor pair per epoch: %d pairs x %d epochs)",
-			st.Exec.BundlesSent, max, pairs, epochs)
+			st.Exec.Bundles, max, pairs, epochs)
 	}
 	if st.Exec.Messages >= off.Exec.Messages {
 		t.Errorf("coalescing did not reduce messages: %d vs %d point-to-point",
@@ -90,11 +90,11 @@ func TestCoalesceSimMatchesReal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sim.Messages != real.Exec.Messages || sim.Bundles != real.Exec.BundlesSent ||
-		sim.Segments != real.Exec.BundleSegments {
+	if sim.Messages != real.Exec.Messages || sim.Bundles != real.Exec.Bundles ||
+		sim.Segments != real.Exec.Segments {
 		t.Errorf("sim traffic (%d msgs, %d bundles, %d segments) != real (%d, %d, %d)",
 			sim.Messages, sim.Bundles, sim.Segments,
-			real.Exec.Messages, real.Exec.BundlesSent, real.Exec.BundleSegments)
+			real.Exec.Messages, real.Exec.Bundles, real.Exec.Segments)
 	}
 	if sim.BytesSent != real.Exec.BytesSent {
 		t.Errorf("sim bytes %d != real bytes %d: wire-format accounting diverged", sim.BytesSent, real.Exec.BytesSent)
@@ -109,15 +109,15 @@ func TestCoalesceAutoFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if auto.Exec.BundlesSent == 0 {
+	if auto.Exec.Bundles == 0 {
 		t.Error("auto mode sent no bundles on a CA graph that admits a plan")
 	}
 	st, err := RunReal(CA, cfg, runtime.Options{Workers: 2, Coalesce: ptg.CoalesceStep})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if auto.Exec.BundlesSent != st.Exec.BundlesSent {
-		t.Errorf("auto sent %d bundles, step sent %d", auto.Exec.BundlesSent, st.Exec.BundlesSent)
+	if auto.Exec.Bundles != st.Exec.Bundles {
+		t.Errorf("auto sent %d bundles, step sent %d", auto.Exec.Bundles, st.Exec.Bundles)
 	}
 	assertGridsBitwiseEqual(t, "auto vs step", st.Grid, auto.Grid)
 }

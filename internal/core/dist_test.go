@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -86,13 +85,24 @@ func runDistributed(t testing.TB, v Variant, cfg Config, base runtime.Options, t
 // two-process (two-transport) loopback run must be bitwise identical to the
 // single-process run and carry exactly the same wire accounting — and the
 // accounting must in turn match the virtual-time simulator — in both
-// coalesce modes. One mesh serves all runs back to back, exercising the
-// epoch machinery between jobs.
+// coalesce modes, on the plain and the split graph (whose interior/border
+// task counts the rank fold must sum to the single-process ones). One mesh
+// serves all runs back to back, exercising the epoch machinery between jobs.
 func TestDistributedMatchesSingleProcess(t *testing.T) {
-	cfg := Config{N: 64, TileRows: 8, P: 2, Steps: 12, StepSize: 3}
 	ts := connectPair(t, nil)
-	for _, mode := range []ptg.CoalesceMode{ptg.CoalesceOff, ptg.CoalesceStep} {
-		t.Run(fmt.Sprintf("coalesce=%s", mode), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tf   TransformMode
+		mode ptg.CoalesceMode
+	}{
+		{"coalesce=off", TransformNone, ptg.CoalesceOff},
+		{"coalesce=step", TransformNone, ptg.CoalesceStep},
+		{"transform=split,coalesce=off", TransformSplit, ptg.CoalesceOff},
+		{"transform=split,coalesce=step", TransformSplit, ptg.CoalesceStep},
+	} {
+		cfg := Config{N: 64, TileRows: 8, P: 2, Steps: 12, StepSize: 3, Transform: tc.tf}
+		mode := tc.mode
+		t.Run(tc.name, func(t *testing.T) {
 			base := runtime.Options{Workers: 2, Coalesce: mode}
 			single, err := RunReal(CA, cfg, base)
 			if err != nil {
@@ -106,13 +116,18 @@ func TestDistributedMatchesSingleProcess(t *testing.T) {
 
 			d, s := dist[0].Exec, single.Exec
 			if d.Messages != s.Messages || d.BytesSent != s.BytesSent ||
-				d.BundlesSent != s.BundlesSent || d.BundleSegments != s.BundleSegments {
+				d.Bundles != s.Bundles || d.Segments != s.Segments {
 				t.Errorf("distributed traffic (%d msgs, %d bytes, %d bundles, %d segments) != single-process (%d, %d, %d, %d)",
-					d.Messages, d.BytesSent, d.BundlesSent, d.BundleSegments,
-					s.Messages, s.BytesSent, s.BundlesSent, s.BundleSegments)
+					d.Messages, d.BytesSent, d.Bundles, d.Segments,
+					s.Messages, s.BytesSent, s.Bundles, s.Segments)
 			}
 			if d.Completed != s.Completed {
 				t.Errorf("distributed completed %d tasks, single-process %d", d.Completed, s.Completed)
+			}
+			if d.InteriorTasks != s.InteriorTasks || d.BorderTasks != s.BorderTasks ||
+				(tc.tf == TransformSplit && d.InteriorTasks == 0) {
+				t.Errorf("distributed split tasks %d interior + %d border, single-process %d + %d",
+					d.InteriorTasks, d.BorderTasks, s.InteriorTasks, s.BorderTasks)
 			}
 
 			sim, err := Simulate(CA, cfg, SimOptions{Machine: machineForTest(), Coalesce: mode})
@@ -120,10 +135,10 @@ func TestDistributedMatchesSingleProcess(t *testing.T) {
 				t.Fatal(err)
 			}
 			if sim.Messages != d.Messages || sim.BytesSent != d.BytesSent ||
-				sim.Bundles != d.BundlesSent || sim.Segments != d.BundleSegments {
+				sim.Bundles != d.Bundles || sim.Segments != d.Segments {
 				t.Errorf("sim traffic (%d msgs, %d bytes, %d bundles, %d segments) != distributed (%d, %d, %d, %d)",
 					sim.Messages, sim.BytesSent, sim.Bundles, sim.Segments,
-					d.Messages, d.BytesSent, d.BundlesSent, d.BundleSegments)
+					d.Messages, d.BytesSent, d.Bundles, d.Segments)
 			}
 		})
 	}

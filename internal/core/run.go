@@ -140,43 +140,20 @@ type SimSteal struct {
 	Force []runtime.ForcedSteal
 }
 
-// SimResult reports a simulated run.
+// SimResult reports a simulated run. Its embedded Counters are the
+// simulator's (see desim.Result), matching runtime.Result's field for field.
 type SimResult struct {
-	Makespan  time.Duration
-	GFLOPS    float64 // at the paper's 9*N^2*steps accounting
-	Messages  int
-	BytesSent int
-	// Bundles and Segments count coalesced wire messages and the member
-	// transfers they carried (zero when coalescing is off).
-	Bundles  int
-	Segments int
+	ptg.Counters
+	Makespan time.Duration
+	GFLOPS   float64 // at the paper's 9*N^2*steps accounting
 	// CommBusy is each node's communication-thread busy time; divide by
 	// Makespan for comm-thread occupancy.
 	CommBusy []time.Duration
-	// Fault counts the injected fault schedule and modeled recovery work.
-	Fault fault.Stats
-	// OverlapRatio, InteriorTasks and BorderTasks report the split
-	// transform's communication–computation overlap (see
-	// desim.Result.OverlapRatio); all zero unless Config.Transform splits
-	// the graph.
-	OverlapRatio  float64
-	InteriorTasks int
-	BorderTasks   int
-	// Work-stealing mirror counters, matching runtime.Result's fields of
-	// the same names (all zero without SimOptions.Steal).
-	StealsRemote  int
-	MigratedTasks int
-	MigratedBytes int
-	Sim           *desim.Result
-}
-
-// BundleFill returns the mean member transfers per coalesced bundle (0
-// when none were sent).
-func (r *SimResult) BundleFill() float64 {
-	if r.Bundles == 0 {
-		return 0
-	}
-	return float64(r.Segments) / float64(r.Bundles)
+	// OverlapRatio reports the split transform's communication–computation
+	// overlap (see desim.Result.OverlapRatio); zero unless Config.Transform
+	// splits the graph.
+	OverlapRatio float64
+	Sim          *desim.Result
 }
 
 // CostModel prices stencil tasks with the machine's kernel model. Following
@@ -275,20 +252,11 @@ func Simulate(v Variant, cfg Config, opts SimOptions) (*SimResult, error) {
 		busy[n] = fabric.CommBusy(n)
 	}
 	return &SimResult{
-		Makespan:      res.Makespan,
-		GFLOPS:        flops / res.Makespan.Seconds() / 1e9,
-		Messages:      res.Messages,
-		BytesSent:     res.BytesSent,
-		Bundles:       res.Bundles,
-		Segments:      res.Segments,
-		CommBusy:      busy,
-		Fault:         res.Fault,
-		OverlapRatio:  res.OverlapRatio,
-		InteriorTasks: res.InteriorTasks,
-		BorderTasks:   res.BorderTasks,
-		StealsRemote:  res.StealsRemote,
-		MigratedTasks: res.MigratedTasks,
-		MigratedBytes: res.MigratedBytes,
-		Sim:           res,
+		Counters:     res.Counters,
+		Makespan:     res.Makespan,
+		GFLOPS:       flops / res.Makespan.Seconds() / 1e9,
+		CommBusy:     busy,
+		OverlapRatio: res.OverlapRatio,
+		Sim:          res,
 	}, nil
 }

@@ -84,10 +84,10 @@ func TestSplitTrafficMatchesUnsplit(t *testing.T) {
 			t.Fatal(err)
 		}
 		if split.Exec.Messages != plain.Exec.Messages || split.Exec.BytesSent != plain.Exec.BytesSent ||
-			split.Exec.BundlesSent != plain.Exec.BundlesSent || split.Exec.BundleSegments != plain.Exec.BundleSegments {
+			split.Exec.Bundles != plain.Exec.Bundles || split.Exec.Segments != plain.Exec.Segments {
 			t.Errorf("coalesce=%v: split traffic (%d msgs, %d B, %d bundles, %d segments) != unsplit (%d, %d, %d, %d)",
-				coal, split.Exec.Messages, split.Exec.BytesSent, split.Exec.BundlesSent, split.Exec.BundleSegments,
-				plain.Exec.Messages, plain.Exec.BytesSent, plain.Exec.BundlesSent, plain.Exec.BundleSegments)
+				coal, split.Exec.Messages, split.Exec.BytesSent, split.Exec.Bundles, split.Exec.Segments,
+				plain.Exec.Messages, plain.Exec.BytesSent, plain.Exec.Bundles, plain.Exec.Segments)
 		}
 	}
 }
@@ -106,11 +106,11 @@ func TestSplitSimMatchesReal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sim.Messages != real.Exec.Messages || sim.Bundles != real.Exec.BundlesSent ||
-			sim.Segments != real.Exec.BundleSegments || sim.BytesSent != real.Exec.BytesSent {
+		if sim.Messages != real.Exec.Messages || sim.Bundles != real.Exec.Bundles ||
+			sim.Segments != real.Exec.Segments || sim.BytesSent != real.Exec.BytesSent {
 			t.Errorf("coalesce=%v: sim traffic (%d msgs, %d bundles, %d segments, %d B) != real (%d, %d, %d, %d)",
 				coal, sim.Messages, sim.Bundles, sim.Segments, sim.BytesSent,
-				real.Exec.Messages, real.Exec.BundlesSent, real.Exec.BundleSegments, real.Exec.BytesSent)
+				real.Exec.Messages, real.Exec.Bundles, real.Exec.Segments, real.Exec.BytesSent)
 		}
 		if sim.InteriorTasks != real.Exec.InteriorTasks || sim.BorderTasks != real.Exec.BorderTasks {
 			t.Errorf("coalesce=%v: sim split census (%d interior, %d border) != real (%d, %d)",

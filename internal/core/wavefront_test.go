@@ -156,9 +156,9 @@ func TestWFMessageReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Exec.BundlesSent != wf.Exec.BundlesSent*cfg.Wavefront {
+	if base.Exec.Bundles != wf.Exec.Bundles*cfg.Wavefront {
 		t.Errorf("coalesced wire messages: base %d, WF %d: want exactly %dx fewer",
-			base.Exec.BundlesSent, wf.Exec.BundlesSent, cfg.Wavefront)
+			base.Exec.Bundles, wf.Exec.Bundles, cfg.Wavefront)
 	}
 }
 
@@ -176,11 +176,11 @@ func TestWFSimMatchesReal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sim.Messages != real.Exec.Messages || sim.Bundles != real.Exec.BundlesSent ||
-			sim.Segments != real.Exec.BundleSegments {
+		if sim.Messages != real.Exec.Messages || sim.Bundles != real.Exec.Bundles ||
+			sim.Segments != real.Exec.Segments {
 			t.Errorf("coalesce=%v: sim traffic (%d msgs, %d bundles, %d segments) != real (%d, %d, %d)",
 				coal, sim.Messages, sim.Bundles, sim.Segments,
-				real.Exec.Messages, real.Exec.BundlesSent, real.Exec.BundleSegments)
+				real.Exec.Messages, real.Exec.Bundles, real.Exec.Segments)
 		}
 		if sim.BytesSent != real.Exec.BytesSent {
 			t.Errorf("coalesce=%v: sim bytes %d != real bytes %d", coal, sim.BytesSent, real.Exec.BytesSent)
@@ -201,16 +201,16 @@ func TestWFCoalesceBundlesPerBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertGridsBitwiseEqual(t, "wf coalesce=step", off.Grid, st.Grid)
-	if st.Exec.Messages != st.Exec.BundlesSent {
-		t.Errorf("step mode sent %d messages but %d bundles", st.Exec.Messages, st.Exec.BundlesSent)
+	if st.Exec.Messages != st.Exec.Bundles {
+		t.Errorf("step mode sent %d messages but %d bundles", st.Exec.Messages, st.Exec.Bundles)
 	}
-	if st.Exec.BundleSegments != off.Exec.Messages {
-		t.Errorf("bundles carried %d transfers, point-to-point sent %d", st.Exec.BundleSegments, off.Exec.Messages)
+	if st.Exec.Segments != off.Exec.Messages {
+		t.Errorf("bundles carried %d transfers, point-to-point sent %d", st.Exec.Segments, off.Exec.Messages)
 	}
 	pairs, epochs, _ := crossTraffic(t, WF, cfg)
-	if max := pairs * epochs; st.Exec.BundlesSent > max {
+	if max := pairs * epochs; st.Exec.Bundles > max {
 		t.Errorf("step mode sent %d bundles, want <= %d (%d pairs x %d block epochs)",
-			st.Exec.BundlesSent, max, pairs, epochs)
+			st.Exec.Bundles, max, pairs, epochs)
 	}
 }
 

@@ -44,13 +44,9 @@ type Options struct {
 	// large runs are expensive.
 	Trace     *trace.Trace
 	TraceNode int32
-	// Coalesce selects halo-bundle aggregation, mirroring the real
-	// runtime: all cross-node payloads sharing a (src node, dst node,
-	// epoch) triple travel as one wire message, costing one NIC occupancy
-	// per side and one wire latency instead of one per dependency.
-	// CoalesceStep fails the run when the graph does not admit a
-	// deadlock-free bundle plan; CoalesceAuto silently falls back to
-	// point-to-point delivery.
+	// Coalesce selects halo-bundle aggregation, resolved exactly as in the
+	// real runtime (see ptg.Graph.PlanBundles): a bundle costs one NIC
+	// occupancy per side and one wire latency instead of one per member.
 	Coalesce ptg.CoalesceMode
 	// Fault, when non-nil, injects the plan's deterministic fault schedule
 	// into the virtual wire. Decisions are keyed by graph identity exactly
@@ -111,46 +107,22 @@ const (
 	Priority
 )
 
-// Result is the outcome of a simulation.
+// Result is the outcome of a simulation. Its embedded Counters mirror the
+// real runtime.Result's exactly: Messages/BytesSent/Bundles/Segments from
+// the fabric, Fault from the injected schedule and modeled recovery, the
+// split counters from simulated inner/border tasks, and one steal per
+// forced migration with MigratedBytes the sum of each migrated task's
+// Mig.InBytes+OutBytes.
 type Result struct {
+	ptg.Counters
 	Makespan time.Duration
 	// BusyTime is the total core-seconds spent computing, per node.
 	BusyTime []time.Duration
-	// Messages and BytesSent mirror the fabric counters.
-	Messages  int
-	BytesSent int
-	// Bundles and Segments mirror the fabric's coalescing counters: wire
-	// messages that were halo bundles and the member transfers they carried.
-	Bundles  int
-	Segments int
 	Tasks    int
-	// Fault counts the injected fault schedule and the modeled recovery
-	// work (all zero without a fault plan).
-	Fault fault.Stats
-	// Overlap observability for split graphs, mirroring the real engine
-	// (all zero when the graph has no inner tasks). OverlapRatio is the
-	// fraction of wire in-flight time during which at least one interior
-	// (KindInner) task was executing; InteriorTasks and BorderTasks count
-	// simulated tasks of those kinds.
-	OverlapRatio  float64
-	InteriorTasks int
-	BorderTasks   int
-	// Work-stealing mirror counters (all zero without Options.Steal),
-	// matching the real runtime.Result fields of the same names exactly:
-	// one steal per forced migration, MigratedBytes = sum of each migrated
-	// task's Mig.InBytes+OutBytes.
-	StealsRemote  int
-	MigratedTasks int
-	MigratedBytes int
-}
-
-// BundleFill returns the mean member transfers per bundle (0 when no
-// bundles were sent) — the aggregation factor coalescing achieved.
-func (r *Result) BundleFill() float64 {
-	if r.Bundles == 0 {
-		return 0
-	}
-	return float64(r.Segments) / float64(r.Bundles)
+	// OverlapRatio mirrors the real engine's: the fraction of wire
+	// in-flight time during which at least one interior (KindInner) task
+	// was executing (zero when the graph has no inner tasks).
+	OverlapRatio float64
 }
 
 // Occupancy returns the average compute-core utilization of a node.
@@ -257,21 +229,21 @@ type sim struct {
 	pending []int32
 	ready   []time.Duration
 	done    int
-	// Bundle plan (nil when coalescing is off or the graph has no cross
-	// deps): bundles is the plan, bundleRem the per-bundle countdown of
-	// members not yet produced, depBundle maps task<<32|dep to its bundle.
-	bundles   []ptg.Bundle
+	// Bundle plan (empty when coalescing is off or the graph has no cross
+	// deps) and the per-bundle countdown of members not yet produced.
+	plan      ptg.BundlePlan
 	bundleRem []int32
-	depBundle map[int64]int32
+	// cnt accumulates the run's counters but for the fabric's traffic,
+	// which Run copies in at the end.
+	cnt ptg.Counters
 	// Fault mirror state (see fault.go): the armed plan and recovery
-	// policy, injected-schedule counters, per-(node,core) executed-task
-	// counters for slow cores, per-node outgoing-message counters for comm
-	// stalls, per-node completed-task counters and pause horizons, and the
-	// structured report of a deadline degradation.
+	// policy, per-(node,core) executed-task counters for slow cores,
+	// per-node outgoing-message counters for comm stalls, per-node
+	// completed-task counters and pause horizons, and the structured report
+	// of a deadline degradation.
 	fplan      *fault.Plan
 	rec        fault.Recovery
 	reliable   bool
-	fstats     fault.Stats
 	coreSeq    [][]int
 	outSeq     []int
 	nodeDone   []int
@@ -281,11 +253,9 @@ type sim struct {
 	// tasks (trace.OverlapRatio defines the semantics): commIv collects
 	// [departure, arrival) of every cross-node transfer, innerIv the
 	// execution window of every inner task.
-	overlapOn     bool
-	commIv        []trace.Span
-	innerIv       []trace.Span
-	interiorTasks int
-	borderTasks   int
+	overlapOn bool
+	commIv    []trace.Span
+	innerIv   []trace.Span
 	// Forced-migration mirror state (nil/empty without Options.Steal):
 	// forced maps a task index to its thief rank, rankNode each rank to its
 	// first owned node (the endpoint its steal frames travel through), and
@@ -293,8 +263,6 @@ type sim struct {
 	forced    map[int32]int
 	rankNode  []int32
 	agentFree []time.Duration
-	migDone   int
-	migBytes  int
 }
 
 // stealInit validates and arms the forced-migration mirror.
@@ -425,8 +393,15 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 	if err := s.stealInit(); err != nil {
 		return nil, err
 	}
-	if err := s.planBundles(); err != nil {
+	// The coalescing plan and its member countdowns mirror the real
+	// runtime's.
+	var err error
+	if s.plan, err = g.PlanBundles(opts.Coalesce); err != nil {
 		return nil, err
+	}
+	s.bundleRem = make([]int32, len(s.plan.Bundles))
+	for i, b := range s.plan.Bundles {
+		s.bundleRem[i] = int32(len(b.Members))
 	}
 	for _, r := range g.Roots() {
 		s.taskReady(r, 0)
@@ -469,7 +444,7 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 		case evMsgArrive:
 			s.satisfy(ev.task, ev.at)
 		case evBundleArrive:
-			for _, m := range s.bundles[ev.task].Members {
+			for _, m := range s.plan.Bundles[ev.task].Members {
 				s.satisfy(m.Task, ev.at)
 			}
 		case evSendMsg:
@@ -481,8 +456,8 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 				makespan = ev.at
 			}
 			s.done++
-			s.migDone++
-			s.migBytes += s.g.Tasks[ev.task].Mig.InBytes + s.g.Tasks[ev.task].Mig.OutBytes
+			s.cnt.MigratedTasks++
+			s.cnt.MigratedBytes += s.g.Tasks[ev.task].Mig.InBytes + s.g.Tasks[ev.task].Mig.OutBytes
 			if opts.OnProgress != nil && (s.done%progressEvery == 0 || s.done == len(g.Tasks)) {
 				opts.OnProgress(int64(s.done), int64(len(g.Tasks)))
 			}
@@ -498,11 +473,13 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("desim: quiesced after %d of %d tasks (dependency deadlock)", s.done, len(g.Tasks))
 	}
 	res := &Result{
+		Counters: s.cnt,
 		Makespan: makespan,
 		BusyTime: make([]time.Duration, g.NumNodes),
 		Tasks:    s.done,
-		Fault:    s.fstats,
 	}
+	// Every forced migration is one steal on the thief's side.
+	res.StealsRemote = res.MigratedTasks
 	for n, nd := range s.nodes {
 		res.BusyTime[n] = nd.busy
 	}
@@ -514,42 +491,8 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 	}
 	if s.overlapOn {
 		res.OverlapRatio = trace.OverlapRatio(s.commIv, s.innerIv)
-		res.InteriorTasks = s.interiorTasks
-		res.BorderTasks = s.borderTasks
 	}
-	res.StealsRemote = s.migDone
-	res.MigratedTasks = s.migDone
-	res.MigratedBytes = s.migBytes
 	return res, nil
-}
-
-// planBundles mirrors the real runtime's coalescing plan: resolve
-// Options.Coalesce against the graph and materialize the per-bundle member
-// countdowns and the dependency-to-bundle index.
-func (s *sim) planBundles() error {
-	if s.opts.Coalesce == ptg.CoalesceOff {
-		return nil
-	}
-	plan, err := s.g.Bundles()
-	if err != nil {
-		if s.opts.Coalesce == ptg.CoalesceAuto {
-			return nil
-		}
-		return err
-	}
-	if len(plan) == 0 {
-		return nil
-	}
-	s.bundles = plan
-	s.bundleRem = make([]int32, len(plan))
-	s.depBundle = make(map[int64]int32, len(plan))
-	for i := range plan {
-		s.bundleRem[i] = int32(len(plan[i].Members))
-		for _, m := range plan[i].Members {
-			s.depBundle[int64(m.Task)<<32|int64(m.Dep)] = int32(i)
-		}
-	}
-	return nil
 }
 
 // taskReady is called when a task's last input arrived at time at.
@@ -588,10 +531,10 @@ func (s *sim) start(idx int32, at time.Duration) {
 	if s.overlapOn {
 		switch t.Kind {
 		case ptg.KindInner:
-			s.interiorTasks++
+			s.cnt.InteriorTasks++
 			s.innerIv = append(s.innerIv, trace.Span{Start: int64(at), End: int64(end)})
 		case ptg.KindBorder:
-			s.borderTasks++
+			s.cnt.BorderTasks++
 		}
 	}
 	if s.opts.Trace != nil && (s.opts.TraceNode < 0 || s.opts.TraceNode == t.Node) {
@@ -611,7 +554,7 @@ func (s *sim) release(idx int32, at time.Duration) {
 			s.satisfy(e.Succ, at)
 			continue
 		}
-		if bi, ok := s.depBundle[int64(e.Succ)<<32|int64(e.Dep)]; ok {
+		if bi := s.plan.Of(e.Succ, e.Dep); bi >= 0 {
 			// The bundle leaves when its last member is produced;
 			// events process in time order, so the decrement that
 			// reaches zero carries the departure time.
@@ -663,7 +606,7 @@ func (s *sim) sendMsg(sIdx, di int32, at time.Duration) {
 // sendBundleAt prices one coalesced bundle departing at time at (deferring
 // first if the source node is paused) and schedules its arrival.
 func (s *sim) sendBundleAt(bi int32, at time.Duration) {
-	b := &s.bundles[bi]
+	b := &s.plan.Bundles[bi]
 	if s.deferPastPause(b.Src, at, evSendBundle, bi, 0) {
 		return
 	}

@@ -146,36 +146,36 @@ func (s *sim) sendCross(id fault.MsgID, bytes, segments int, ready time.Duration
 	depart := ready
 	for {
 		if s.fplan.ShouldDrop(id, attempt) {
-			s.fstats.Dropped++
+			s.cnt.Fault.Dropped++
 			s.traceFault("drop", id, depart, 0, bytes)
 			f.SendDropped(src, bytes, depart)
 			// The ack timeout for this attempt expires unanswered.
-			s.fstats.Timeouts++
+			s.cnt.Fault.Timeouts++
 			timeout := s.rec.TimeoutAt(attempt)
 			if waited := depart + timeout - ready; waited >= s.rec.Deadline {
 				s.ferr = &fault.Report{
 					ID: id, Seq: uint64(attempt) + 1, Attempts: attempt + 1,
-					Waited: waited, Deadline: s.rec.Deadline, Stats: s.fstats,
+					Waited: waited, Deadline: s.rec.Deadline, Stats: s.cnt.Fault,
 				}
 				return 0, false
 			}
 			depart += timeout
 			attempt++
-			s.fstats.Retransmits++
+			s.cnt.Fault.Retransmits++
 			s.traceFault("retransmit", id, depart, 0, bytes)
 			continue
 		}
 		delay := s.fplan.DelayOf(id, attempt)
 		if delay > 0 {
-			s.fstats.Delayed++
+			s.cnt.Fault.Delayed++
 			s.traceFault("delay", id, depart, delay, bytes)
 		}
 		arrive := send(depart) + delay
 		if s.fplan.ShouldDup(id, attempt) {
 			// The duplicate is extra physical traffic the receiver
 			// deduplicates on arrival; it never satisfies a dependency.
-			s.fstats.Duplicated++
-			s.fstats.DupDrops++
+			s.cnt.Fault.Duplicated++
+			s.cnt.Fault.DupDrops++
 			s.traceFault("dup", id, depart, 0, bytes)
 			f.Send(src, int(id.Dst), bytes, depart)
 		}
@@ -187,7 +187,7 @@ func (s *sim) sendCross(id fault.MsgID, bytes, segments int, ready time.Duration
 				s.traceFault("deadline", id, arrive, 0, bytes)
 				s.ferr = &fault.Report{
 					ID: id, Seq: uint64(attempt) + 1, Attempts: attempt + 1,
-					Waited: waited, Deadline: s.rec.Deadline, Stats: s.fstats,
+					Waited: waited, Deadline: s.rec.Deadline, Stats: s.cnt.Fault,
 				}
 				return 0, false
 			}

@@ -290,9 +290,9 @@ func TestFaultScheduleParityCoalesced(t *testing.T) {
 		sim.Fault.Retransmits != real.Fault.Retransmits {
 		t.Errorf("bundle schedules diverged: sim %+v, real %+v", sim.Fault, real.Fault)
 	}
-	if sim.Bundles != real.BundlesSent || sim.Segments != real.BundleSegments {
+	if sim.Bundles != real.Bundles || sim.Segments != real.Segments {
 		t.Errorf("bundle accounting diverged: sim %d/%d, real %d/%d",
-			sim.Bundles, real.BundlesSent, sim.Segments, real.BundleSegments)
+			sim.Bundles, real.Bundles, sim.Segments, real.Segments)
 	}
 	if sim.Fault.Dropped == 0 || sim.Fault.Duplicated == 0 {
 		t.Errorf("weak parity test — plan injected nothing: %+v", sim.Fault)

@@ -89,6 +89,40 @@ type bundleKey struct {
 	src, dst, epoch int32
 }
 
+// BundlePlan is a graph's resolved coalescing plan: the bundles, and for
+// every dependency the bundle that carries it. The zero value is the empty
+// plan, in which every dependency travels point to point.
+type BundlePlan struct {
+	Bundles []Bundle
+	// of[off[t]+d] is the bundle index of task t's dep d, -1 for none.
+	off []int32
+	of  []int32
+}
+
+// Of returns the index into Bundles of the bundle carrying the task's dep,
+// or -1 when that dependency is not bundled.
+func (p *BundlePlan) Of(task, dep int32) int32 {
+	if p.of == nil {
+		return -1
+	}
+	return p.of[p.off[task]+dep]
+}
+
+// PlanBundles resolves a coalescing mode against the graph, the one place
+// both engines do so: CoalesceOff yields the empty plan, CoalesceStep the
+// graph's bundle plan or its error, and CoalesceAuto the bundle plan when
+// the graph admits a deadlock-free one and the empty plan otherwise.
+func (g *Graph) PlanBundles(mode CoalesceMode) (BundlePlan, error) {
+	if mode == CoalesceOff {
+		return BundlePlan{}, nil
+	}
+	p, err := g.planBundles()
+	if err != nil && mode == CoalesceAuto {
+		return BundlePlan{}, nil
+	}
+	return p, err
+}
+
 // Bundles plans the halo bundles of the graph: every cross-node dependency
 // is assigned to the bundle of its (producer node, consumer node, producer
 // epoch) triple. The returned slice is in deterministic first-seen order.
@@ -104,33 +138,37 @@ type bundleKey struct {
 // plus bundle barrier nodes and returns an error when bundling would
 // deadlock, leaving callers to fall back to point-to-point delivery.
 func (g *Graph) Bundles() ([]Bundle, error) {
-	var bundles []Bundle
+	p, err := g.planBundles()
+	return p.Bundles, err
+}
+
+func (g *Graph) planBundles() (BundlePlan, error) {
+	p := BundlePlan{off: make([]int32, 1, len(g.Tasks)+1)}
 	byKey := map[bundleKey]int32{}
-	// memberOf maps a cross dep (task<<32 | dep) to its bundle index.
-	memberOf := map[int64]int32{}
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
 		for di := range t.Deps {
-			d := &t.Deps[di]
-			p := &g.Tasks[d.Producer]
-			if p.Node == t.Node {
+			d, prod := &t.Deps[di], &g.Tasks[t.Deps[di].Producer]
+			if prod.Node == t.Node {
+				p.of = append(p.of, -1)
 				continue
 			}
-			k := bundleKey{src: p.Node, dst: t.Node, epoch: p.Epoch}
+			k := bundleKey{src: prod.Node, dst: t.Node, epoch: prod.Epoch}
 			bi, ok := byKey[k]
 			if !ok {
-				bi = int32(len(bundles))
+				bi = int32(len(p.Bundles))
 				byKey[k] = bi
-				bundles = append(bundles, Bundle{Src: k.src, Dst: k.dst, Epoch: k.epoch})
+				p.Bundles = append(p.Bundles, Bundle{Src: k.src, Dst: k.dst, Epoch: k.epoch})
 			}
-			b := &bundles[bi]
+			b := &p.Bundles[bi]
 			b.Members = append(b.Members, BundleMember{Task: int32(i), Dep: int32(di)})
 			b.Bytes += d.Bytes
-			memberOf[int64(i)<<32|int64(di)] = bi
+			p.of = append(p.of, bi)
 		}
+		p.off = append(p.off, int32(len(p.of)))
 	}
-	if len(bundles) == 0 {
-		return nil, nil
+	if len(p.Bundles) == 0 {
+		return BundlePlan{}, nil
 	}
 
 	// Kahn's algorithm over the augmented graph: producer -> bundle edges
@@ -138,52 +176,42 @@ func (g *Graph) Bundles() ([]Bundle, error) {
 	// deps unchanged. The graph deadlocks under bundling iff this does not
 	// visit every task.
 	taskIndeg := make([]int32, len(g.Tasks))
-	bundleIndeg := make([]int32, len(bundles))
-	for i := range g.Tasks {
-		taskIndeg[i] = int32(len(g.Tasks[i].Deps))
-	}
-	for bi := range bundles {
-		bundleIndeg[bi] = int32(len(bundles[bi].Members))
-	}
 	queue := make([]int32, 0, len(g.Tasks))
-	for i := range taskIndeg {
-		if taskIndeg[i] == 0 {
+	for i := range g.Tasks {
+		if taskIndeg[i] = int32(len(g.Tasks[i].Deps)); taskIndeg[i] == 0 {
 			queue = append(queue, int32(i))
 		}
 	}
-	visited := 0
-	releaseBundle := func(bi int32) []int32 {
-		var ready []int32
-		for _, m := range bundles[bi].Members {
-			taskIndeg[m.Task]--
-			if taskIndeg[m.Task] == 0 {
-				ready = append(ready, m.Task)
-			}
-		}
-		return ready
+	bundleIndeg := make([]int32, len(p.Bundles))
+	for bi, b := range p.Bundles {
+		bundleIndeg[bi] = int32(len(b.Members))
 	}
+	visited := 0
 	for len(queue) > 0 {
 		u := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		visited++
 		for _, e := range g.Tasks[u].Succs {
-			if g.Tasks[e.Succ].Node == g.Tasks[u].Node {
-				taskIndeg[e.Succ]--
-				if taskIndeg[e.Succ] == 0 {
+			bi := p.Of(e.Succ, e.Dep)
+			if bi < 0 {
+				if taskIndeg[e.Succ]--; taskIndeg[e.Succ] == 0 {
 					queue = append(queue, e.Succ)
 				}
 				continue
 			}
-			bi := memberOf[int64(e.Succ)<<32|int64(e.Dep)]
-			bundleIndeg[bi]--
-			if bundleIndeg[bi] == 0 {
-				queue = append(queue, releaseBundle(bi)...)
+			if bundleIndeg[bi]--; bundleIndeg[bi] > 0 {
+				continue
+			}
+			for _, m := range p.Bundles[bi].Members {
+				if taskIndeg[m.Task]--; taskIndeg[m.Task] == 0 {
+					queue = append(queue, m.Task)
+				}
 			}
 		}
 	}
 	if visited != len(g.Tasks) {
-		return nil, fmt.Errorf("ptg: bundling by epoch deadlocks the graph (%d of %d tasks reachable); run with coalescing off",
+		return BundlePlan{}, fmt.Errorf("ptg: bundling by epoch deadlocks the graph (%d of %d tasks reachable); run with coalescing off",
 			visited, len(g.Tasks))
 	}
-	return bundles, nil
+	return p, nil
 }

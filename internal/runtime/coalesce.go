@@ -88,70 +88,42 @@ func (l *commLane) put(b []byte) {
 // entry plus the countdown of members not yet produced. When remaining hits
 // zero the producing node's comm goroutine packs and sends the bundle.
 type execBundle struct {
-	src, dst  int32
-	members   []ptg.BundleMember
-	wireBytes int
+	*ptg.Bundle
 	lane      *commLane
 	remaining atomic.Int32
 }
 
-// planBundles resolves Options.Coalesce against the graph: CoalesceStep
-// requires a deadlock-free plan (and fails the run otherwise), CoalesceAuto
-// falls back to point-to-point delivery when the graph does not admit one.
-// With a plan in hand it materializes the per-bundle countdowns, the
-// per-dependency bundle index table used on the completion hot path, and the
-// persistent lanes with their preallocated wire buffers.
+// planBundles resolves Options.Coalesce against the graph (see
+// ptg.Graph.PlanBundles) and materializes the per-bundle countdowns and the
+// persistent lanes with their preallocated wire buffers. It sizes each
+// node's fan-out scratch for its largest inbound bundle, so the batched
+// release never grows it mid-run.
 func (ex *executor) planBundles() error {
-	if ex.opts.Coalesce == ptg.CoalesceOff {
-		return nil
-	}
-	plan, err := ex.g.Bundles()
+	plan, err := ex.g.PlanBundles(ex.opts.Coalesce)
 	if err != nil {
-		if ex.opts.Coalesce == ptg.CoalesceAuto {
-			return nil
-		}
 		return err
 	}
-	if len(plan) == 0 {
-		return nil
+	ex.plan = plan
+	type pair struct{ src, dst int32 }
+	laneMax := map[pair]int{}
+	for i := range plan.Bundles {
+		b := &plan.Bundles[i]
+		k := pair{b.Src, b.Dst}
+		laneMax[k] = max(laneMax[k], b.WireBytes())
 	}
-	lanes := map[uint64]*commLane{}
-	laneMax := map[uint64]int{}
-	laneKey := func(src, dst int32) uint64 { return uint64(uint32(src))<<32 | uint64(uint32(dst)) }
-	for i := range plan {
-		b := &plan[i]
-		k := laneKey(b.Src, b.Dst)
-		if w := b.WireBytes(); w > laneMax[k] {
-			laneMax[k] = w
-		}
-	}
-	ex.bundles = make([]execBundle, len(plan))
-	ex.depBundle = make([][]int32, len(ex.g.Tasks))
-	for i := range ex.g.Tasks {
-		if n := len(ex.g.Tasks[i].Deps); n > 0 {
-			row := make([]int32, n)
-			for j := range row {
-				row[j] = -1
-			}
-			ex.depBundle[i] = row
-		}
-	}
-	for i := range plan {
-		b := &plan[i]
-		k := laneKey(b.Src, b.Dst)
-		lane := lanes[k]
-		if lane == nil {
-			lane = newCommLane(b.Src, b.Dst, laneMax[k])
-			lanes[k] = lane
+	lanes := map[pair]*commLane{}
+	ex.bundles = make([]execBundle, len(plan.Bundles))
+	for i := range plan.Bundles {
+		b := &plan.Bundles[i]
+		k := pair{b.Src, b.Dst}
+		if lanes[k] == nil {
+			lanes[k] = newCommLane(b.Src, b.Dst, laneMax[k])
 		}
 		eb := &ex.bundles[i]
-		eb.src, eb.dst = b.Src, b.Dst
-		eb.members = b.Members
-		eb.wireBytes = b.WireBytes()
-		eb.lane = lane
+		eb.Bundle, eb.lane = b, lanes[k]
 		eb.remaining.Store(int32(len(b.Members)))
-		for _, m := range b.Members {
-			ex.depBundle[m.Task][m.Dep] = int32(i)
+		if nd := ex.nodes[b.Dst]; cap(nd.commReady) < len(b.Members) {
+			nd.commReady = make([]int32, 0, len(b.Members))
 		}
 	}
 	return nil
@@ -227,21 +199,21 @@ func (ex *executor) sendBundle(e ptg.Env, nd *execNode, bi int32) (segs, bytes i
 	defer func() {
 		if r := recover(); r != nil {
 			ex.fail(fmt.Errorf("runtime: packing bundle %d->%d panicked: %v",
-				ex.bundles[bi].src, ex.bundles[bi].dst, r))
+				ex.bundles[bi].Src, ex.bundles[bi].Dst, r))
 		}
 	}()
 	b := &ex.bundles[bi]
-	buf := packBundle(b.lane.get(), e, ex.g.Tasks, b.members)
-	m := Message{Src: b.src, Dst: b.dst, Bundle: bi + 1, Data: buf}
+	buf := packBundle(b.lane.get(), e, ex.g.Tasks, b.Members)
+	m := Message{Src: b.Src, Dst: b.Dst, Bundle: bi + 1, Data: buf}
 	if ex.overlapOn {
 		m.SentNanos = int64(time.Since(ex.t0))
 	}
 	ex.messages.Add(1)
 	ex.bytesSent.Add(int64(len(buf)))
 	ex.bundlesSent.Add(1)
-	ex.bundleSegments.Add(int64(len(b.members)))
+	ex.bundleSegments.Add(int64(len(b.Members)))
 	ex.dispatch(nd, m)
-	return len(b.members), len(buf)
+	return len(b.Members), len(buf)
 }
 
 // receiveBundle fans a bundle's segments out on the destination node,
@@ -254,16 +226,16 @@ func (ex *executor) receiveBundle(nd *execNode, m Message) (segs, bytes int) {
 		}
 	}()
 	b := &ex.bundles[m.Bundle-1]
-	if err := fanOutBundle(nd.env, ex.g.Tasks, b.members, m.Data); err != nil {
+	if err := fanOutBundle(nd.env, ex.g.Tasks, b.Members, m.Data); err != nil {
 		ex.fail(err)
-		return len(b.members), len(m.Data)
+		return len(b.Members), len(m.Data)
 	}
 	// All segments are copied out: the wire buffer can rejoin its lane
 	// before the consumers run, keeping the lane's free list warm.
 	bytes = len(m.Data)
 	b.lane.put(m.Data)
 	ready := nd.commReady[:0]
-	for _, mb := range b.members {
+	for _, mb := range b.Members {
 		if atomic.AddInt32(&ex.pending[mb.Task], -1) == 0 {
 			ready = append(ready, mb.Task)
 		}
@@ -272,38 +244,29 @@ func (ex *executor) receiveBundle(nd *execNode, m Message) (segs, bytes int) {
 		ex.enqueueBatch(nd, ready)
 	}
 	nd.commReady = ready[:0]
-	return len(b.members), bytes
+	return len(b.Members), bytes
 }
 
-// transfers returns the number of member payloads a queued send request
-// stands for — the unit Result.Dropped counts.
-func (ex *executor) reqTransfers(r sendReq) int64 {
-	if r.bundle != 0 {
-		return int64(len(ex.bundles[r.bundle-1].members))
-	}
-	return 1
-}
-
-// msgTransfers is reqTransfers for an in-flight message. Acks are control
-// traffic, not data transfers, so a discarded ack counts for nothing.
-func (ex *executor) msgTransfers(m Message) int64 {
-	if m.Ack {
-		return 0
-	}
-	if m.Bundle != 0 {
-		return int64(len(ex.bundles[m.Bundle-1].members))
+// transfers returns the number of member payloads a send request or a
+// message for bundle (1-based; 0 = point to point) stands for — the unit
+// Result.Dropped counts.
+func (ex *executor) transfers(bundle int32) int64 {
+	if bundle != 0 {
+		return int64(len(ex.bundles[bundle-1].Members))
 	}
 	return 1
 }
 
 // droppedTransfers is the Result.Dropped weight of an undeliverable
-// physical message. Under the reliable transport a sequenced copy weighs
-// nothing: the original, its duplicates and its retransmissions all carry
-// the same sequence number, and whether the *logical* transfer was lost
-// is decided once, by the pending-table scan at shutdown.
+// physical message. Acks are control traffic, not data transfers, so a
+// discarded ack counts for nothing. Under the reliable transport a
+// sequenced copy weighs nothing either: the original, its duplicates and
+// its retransmissions all carry the same sequence number, and whether the
+// *logical* transfer was lost is decided once, by the pending-table scan
+// at shutdown.
 func (ex *executor) droppedTransfers(m Message) int64 {
-	if ex.reliable && m.Seq != 0 {
+	if m.Ack || ex.reliable && m.Seq != 0 {
 		return 0
 	}
-	return ex.msgTransfers(m)
+	return ex.transfers(m.Bundle)
 }

@@ -24,8 +24,8 @@ func TestCoalesceStepErrorsOnChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BundlesSent != 0 {
-		t.Errorf("auto fallback sent %d bundles on an unbundlable graph", res.BundlesSent)
+	if res.Bundles != 0 {
+		t.Errorf("auto fallback sent %d bundles on an unbundlable graph", res.Bundles)
 	}
 	if res.Dropped != 0 {
 		t.Errorf("auto fallback dropped %d transfers", res.Dropped)
@@ -160,12 +160,12 @@ func TestCoalescedExactlyOnce(t *testing.T) {
 	}
 	eg.audit(t, "complete", res)
 	wantBundles := nodes * (nodes - 1) * (epochs - 1)
-	if res.BundlesSent != wantBundles || res.Messages != wantBundles {
+	if res.Bundles != wantBundles || res.Messages != wantBundles {
 		t.Errorf("sent %d messages / %d bundles, want %d (one per ordered pair per exchange)",
-			res.Messages, res.BundlesSent, wantBundles)
+			res.Messages, res.Bundles, wantBundles)
 	}
-	if res.BundleSegments != wantBundles*tiles {
-		t.Errorf("bundles carried %d segments, want %d", res.BundleSegments, wantBundles*tiles)
+	if res.Segments != wantBundles*tiles {
+		t.Errorf("bundles carried %d segments, want %d", res.Segments, wantBundles*tiles)
 	}
 	if fill := res.BundleFill(); fill != float64(tiles) {
 		t.Errorf("bundle fill = %v, want %d", fill, tiles)
@@ -298,7 +298,7 @@ func TestTraceCommRecordsWireEvents(t *testing.T) {
 			recvs++
 		}
 	}
-	if sends != res.BundlesSent || recvs != res.BundlesSent {
-		t.Errorf("traced %d sends / %d recvs, want %d each", sends, recvs, res.BundlesSent)
+	if sends != res.Bundles || recvs != res.Bundles {
+		t.Errorf("traced %d sends / %d recvs, want %d each", sends, recvs, res.Bundles)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"castencil/internal/fault"
+	"castencil/internal/ptg"
 )
 
 // This file is the runtime's multi-process distribution layer. A distributed
@@ -21,9 +21,9 @@ import (
 //
 // Lifecycle of a distributed run, per rank:
 //
-//  1. Bind the conduit (inbound wire messages feed ex.deliver, transport
-//     failures feed ex.fail) and enter the "start" barrier, so every rank's
-//     lanes are up before epoch 0 seeds its roots.
+//  1. Bind the conduit (inbound wire messages feed ex.deliverRemote,
+//     transport failures feed ex.fail) and enter the "start" barrier, so
+//     every rank's lanes are up before epoch 0 seeds its roots.
 //  2. Run the local slice of the graph. ex.deliver routes by destination
 //     node: local nodes go to their inbox, remote nodes onto the wire. Acks
 //     of the reliable transport are ordinary messages and route the same
@@ -130,6 +130,49 @@ func (ex *executor) localNode(n int32) bool {
 	return ex.dist == nil || ex.nodeRank[n] == int32(ex.dist.Rank)
 }
 
+// deliverRemote admits one inbound wire message, the handler a distributed
+// run binds to its conduit. The header comes from another process, so it
+// is checked against this rank's graph before it indexes any node, task or
+// bundle table: it must travel between a peer rank's node and one of ours,
+// be an ack only under the reliable transport, and name a bundle of the
+// plan or an unbundled cross-node dependency. A message that does not fails
+// the run, as a malformed bundle payload does.
+func (ex *executor) deliverRemote(m Message) {
+	if err := ex.checkRemote(m); err != nil {
+		PutBuf(m.Data)
+		ex.fail(err)
+		return
+	}
+	ex.deliver(m)
+}
+
+func (ex *executor) checkRemote(m Message) error {
+	ours := func(n int32) bool { return n >= 0 && int(n) < len(ex.nodeRank) && ex.localNode(n) }
+	peers := func(n int32) bool { return n >= 0 && int(n) < len(ex.nodeRank) && !ex.localNode(n) }
+	switch {
+	case !ours(m.Dst) || !peers(m.Src):
+		return fmt.Errorf("runtime: rank %d received a message %d->%d, not from a peer's node to one of its own",
+			ex.dist.Rank, m.Src, m.Dst)
+	case m.Ack:
+		if !ex.reliable {
+			return fmt.Errorf("runtime: ack %d->%d on a run without the reliable transport", m.Src, m.Dst)
+		}
+	case m.Bundle != 0:
+		if m.Bundle < 0 || int(m.Bundle) > len(ex.bundles) ||
+			ex.bundles[m.Bundle-1].Src != m.Src || ex.bundles[m.Bundle-1].Dst != m.Dst {
+			return fmt.Errorf("runtime: bundle %d %d->%d is not in the plan", m.Bundle, m.Src, m.Dst)
+		}
+	default:
+		if m.Task < 0 || int(m.Task) >= len(ex.g.Tasks) || ex.g.Tasks[m.Task].Node != m.Dst ||
+			m.Dep < 0 || int(m.Dep) >= len(ex.g.Tasks[m.Task].Deps) ||
+			ex.g.Tasks[ex.g.Tasks[m.Task].Deps[m.Dep].Producer].Node != m.Src || ex.plan.Of(m.Task, m.Dep) >= 0 {
+			return fmt.Errorf("runtime: message %d->%d names no unbundled cross-node dependency (task %d dep %d)",
+				m.Src, m.Dst, m.Task, m.Dep)
+		}
+	}
+	return nil
+}
+
 // sendRemote ships a message whose destination node lives on another rank
 // and recycles the local payload buffer: the bytes are on the wire (or the
 // send failed and the run is over), so by the same ownership convention the
@@ -192,62 +235,38 @@ func (ex *executor) distDrain() {
 // successful distributed run (epilogue traffic, not the hot path — JSON is
 // plenty).
 type distStats struct {
-	Messages       int64       `json:"messages"`
-	BytesSent      int64       `json:"bytes_sent"`
-	BundlesSent    int64       `json:"bundles_sent"`
-	BundleSegments int64       `json:"bundle_segments"`
-	Completed      int64       `json:"completed"`
-	Dropped        int64       `json:"dropped"`
-	InteriorTasks  int64       `json:"interior_tasks"`
-	BorderTasks    int64       `json:"border_tasks"`
-	StealsRemote   int64       `json:"steals_remote"`
-	MigratedTasks  int64       `json:"migrated_tasks"`
-	MigratedBytes  int64       `json:"migrated_bytes"`
-	Fault          fault.Stats `json:"fault"`
-	NodeTasks      []int       `json:"node_tasks"`
-	NodeBusy       []int64     `json:"node_busy"`
-	NodeLocalHits  []int       `json:"node_local_hits"`
-	NodeSteals     []int       `json:"node_steals"`
-	NodeParks      []int       `json:"node_parks"`
+	ptg.Counters
+	Completed     int             `json:"completed"`
+	Dropped       int             `json:"dropped"`
+	NodeTasks     []int           `json:"node_tasks"`
+	NodeBusy      []time.Duration `json:"node_busy"`
+	NodeLocalHits []int           `json:"node_local_hits"`
+	NodeSteals    []int           `json:"node_steals"`
+	NodeParks     []int           `json:"node_parks"`
 }
 
 // distExchangeStats folds every rank's counters into rank 0's Result, so the
 // distributed totals are exactly the single-process (and simulator) numbers.
 // Non-zero ranks keep their local view. Per-node arrays merge by addition:
-// each rank reports nonzero entries only for the nodes it owns.
+// each rank reports nonzero entries only for the nodes it owns. OverlapRatio
+// is not additive and stays rank-local.
 func (ex *executor) distExchangeStats(res *Result) error {
-	mine := distStats{
-		Messages:       ex.messages.Load(),
-		BytesSent:      ex.bytesSent.Load(),
-		BundlesSent:    ex.bundlesSent.Load(),
-		BundleSegments: ex.bundleSegments.Load(),
-		Completed:      ex.completed.Load(),
-		Dropped:        ex.dropped.Load(),
-		InteriorTasks:  int64(res.InteriorTasks),
-		BorderTasks:    int64(res.BorderTasks),
-		StealsRemote:   int64(res.StealsRemote),
-		MigratedTasks:  int64(res.MigratedTasks),
-		MigratedBytes:  int64(res.MigratedBytes),
-		Fault:          res.Fault,
-		NodeTasks:      res.NodeTasks,
-		NodeLocalHits:  res.NodeLocalHits,
-		NodeSteals:     res.NodeSteals,
-		NodeParks:      res.NodeParks,
-	}
-	mine.NodeBusy = make([]int64, len(res.NodeBusy))
-	for i, d := range res.NodeBusy {
-		mine.NodeBusy[i] = int64(d)
-	}
-	payload, err := json.Marshal(&mine)
+	payload, err := json.Marshal(&distStats{
+		Counters:      res.Counters,
+		Completed:     res.Completed,
+		Dropped:       res.Dropped,
+		NodeTasks:     res.NodeTasks,
+		NodeBusy:      res.NodeBusy,
+		NodeLocalHits: res.NodeLocalHits,
+		NodeSteals:    res.NodeSteals,
+		NodeParks:     res.NodeParks,
+	})
 	if err != nil {
 		return err
 	}
 	blobs, err := ex.dist.Net.Gather("stats", payload)
-	if err != nil {
+	if err != nil || ex.dist.Rank != 0 {
 		return err
-	}
-	if ex.dist.Rank != 0 {
-		return nil
 	}
 	for r, blob := range blobs {
 		if r == ex.dist.Rank || blob == nil {
@@ -257,35 +276,21 @@ func (ex *executor) distExchangeStats(res *Result) error {
 		if err := json.Unmarshal(blob, &s); err != nil {
 			return fmt.Errorf("runtime: bad stats payload from rank %d: %v", r, err)
 		}
-		res.Messages += int(s.Messages)
-		res.BytesSent += int(s.BytesSent)
-		res.BundlesSent += int(s.BundlesSent)
-		res.BundleSegments += int(s.BundleSegments)
-		res.Completed += int(s.Completed)
-		res.Dropped += int(s.Dropped)
-		res.InteriorTasks += int(s.InteriorTasks)
-		res.BorderTasks += int(s.BorderTasks)
-		res.StealsRemote += int(s.StealsRemote)
-		res.MigratedTasks += int(s.MigratedTasks)
-		res.MigratedBytes += int(s.MigratedBytes)
-		res.Fault.Add(s.Fault)
-		for i := range res.NodeTasks {
-			if i < len(s.NodeTasks) {
-				res.NodeTasks[i] += s.NodeTasks[i]
-			}
-			if i < len(s.NodeBusy) {
-				res.NodeBusy[i] += time.Duration(s.NodeBusy[i])
-			}
-			if i < len(s.NodeLocalHits) {
-				res.NodeLocalHits[i] += s.NodeLocalHits[i]
-			}
-			if i < len(s.NodeSteals) {
-				res.NodeSteals[i] += s.NodeSteals[i]
-			}
-			if i < len(s.NodeParks) {
-				res.NodeParks[i] += s.NodeParks[i]
-			}
-		}
+		res.Counters.Add(s.Counters)
+		res.Completed += s.Completed
+		res.Dropped += s.Dropped
+		addEach(res.NodeTasks, s.NodeTasks)
+		addEach(res.NodeBusy, s.NodeBusy)
+		addEach(res.NodeLocalHits, s.NodeLocalHits)
+		addEach(res.NodeSteals, s.NodeSteals)
+		addEach(res.NodeParks, s.NodeParks)
 	}
 	return nil
+}
+
+// addEach adds src into dst element-wise, over their common length.
+func addEach[T int | time.Duration](dst, src []T) {
+	for i := range min(len(dst), len(src)) {
+		dst[i] += src[i]
+	}
 }

@@ -68,12 +68,11 @@ type Options struct {
 	// shared queue's order under SharedQueue, the injection queue's
 	// order under WorkStealing.
 	Policy Policy
-	// Coalesce selects halo-bundle coalescing (default CoalesceOff). With
-	// CoalesceStep/CoalesceAuto, all cross-node payloads one node produces
-	// in one epoch toward one destination travel as a single message over a
-	// persistent communication lane (ptg.CoalesceStep fails the run when
-	// the graph's epochs do not admit a deadlock-free plan; ptg.CoalesceAuto
-	// falls back to point-to-point). Coalescing never changes numerics.
+	// Coalesce selects halo-bundle coalescing (default CoalesceOff; see
+	// ptg.Graph.PlanBundles for how each mode resolves): all cross-node
+	// payloads one node produces in one epoch toward one destination travel
+	// as a single message over a persistent communication lane. Coalescing
+	// never changes numerics.
 	//
 	// Ownership contract: under coalescing the comm goroutine copies each
 	// packed payload into the bundle's wire buffer and immediately recycles
@@ -135,15 +134,17 @@ type Options struct {
 	Steal *StealPolicy
 }
 
-// Result summarizes a completed execution.
+// Result summarizes a completed execution. Its embedded Counters carry the
+// run's additive accounting (see ptg.Counters); after a distributed run rank
+// 0's Counters, Completed, Dropped and per-node slices are the global sums.
 type Result struct {
-	Elapsed   time.Duration
-	Stores    []*Store // per-node stores, for gathering output data
-	Messages  int      // inter-node wire messages sent (a bundle counts once)
-	BytesSent int
-	// BundlesSent counts coalesced messages among Messages; BundleSegments
-	// counts the member payloads they carried. Both are zero with
-	// coalescing off.
+	ptg.Counters
+	Elapsed time.Duration
+	Stores  []*Store // per-node stores, for gathering output data
+	// BundlesSent and BundleSegments repeat Bundles and Segments under
+	// their names from before Counters.
+	//
+	// Deprecated: use Bundles and Segments.
 	BundlesSent    int
 	BundleSegments int
 	Completed      int
@@ -164,37 +165,13 @@ type Result struct {
 	NodeLocalHits []int
 	NodeSteals    []int
 	NodeParks     []int
-	// Fault counts injected faults and the recovery work that masked
-	// them (all zero without a fault plan / the reliable transport).
-	Fault fault.Stats
-	// Overlap observability for split graphs (all zero when the graph has
-	// no inner tasks — the instrumentation is pay-for-use). OverlapRatio
-	// is the fraction of wire in-flight time during which at least one
-	// interior (KindInner) task was executing somewhere: how much of the
-	// communication the split transform actually hid behind compute.
-	// InteriorTasks and BorderTasks count executed tasks of those kinds.
-	OverlapRatio  float64
-	InteriorTasks int
-	BorderTasks   int
-	// Inter-node work stealing (all zero without an active Options.Steal).
-	// StealsRemote counts migrated tasks this rank executed for a peer;
-	// MigratedTasks counts tasks this rank shipped out, MigratedBytes the
-	// wire bytes their migration round trips moved (input state + results).
-	// After the distributed epilogue rank 0 holds the global sums; steal
-	// traffic is never folded into Messages/BytesSent.
-	StealsRemote  int
-	MigratedTasks int
-	MigratedBytes int
-}
-
-// BundleFill returns the average number of member payloads per coalesced
-// message (0 when no bundles were sent). A fill equal to the neighbor-pair
-// dependency count means every exchange collapsed to one message.
-func (r *Result) BundleFill() float64 {
-	if r.BundlesSent == 0 {
-		return 0
-	}
-	return float64(r.BundleSegments) / float64(r.BundlesSent)
+	// OverlapRatio is the fraction of wire in-flight time during which at
+	// least one interior (KindInner) task was executing somewhere: how much
+	// of the communication the split transform actually hid behind compute
+	// (zero when the graph has no inner tasks — the instrumentation is
+	// pay-for-use). It is a ratio, not a sum, so a distributed run does not
+	// fold it: every rank, rank 0 included, reports its own nodes' overlap.
+	OverlapRatio float64
 }
 
 type sendReq struct {
@@ -269,10 +246,10 @@ type executor struct {
 	pending   []int32 // remaining dep count per task (atomic)
 	t0        time.Time
 
-	// Coalescing state (nil/empty with coalescing off): the bundle plan,
-	// and per task/dep the bundle index (-1 = unbundled). See coalesce.go.
-	bundles   []execBundle
-	depBundle [][]int32
+	// Coalescing state (empty with coalescing off): the bundle plan and
+	// each bundle's runtime state. See coalesce.go.
+	plan    ptg.BundlePlan
+	bundles []execBundle
 
 	nodeTasks []atomic.Int64
 	nodeBusy  []atomic.Int64 // nanoseconds
@@ -424,9 +401,6 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 		}
 		ex.agent = ag
 	}
-	if err := ex.planBundles(); err != nil {
-		return nil, err
-	}
 	for i := range g.Tasks {
 		if g.Tasks[i].Kind == ptg.KindInner {
 			ex.overlapOn = true
@@ -485,14 +459,8 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 		nd.cond = sync.NewCond(&nd.mu)
 		ex.nodes[n] = nd
 	}
-	// Size each node's fan-out scratch for its largest inbound bundle, so
-	// the batched release never grows it mid-run.
-	for i := range ex.bundles {
-		b := &ex.bundles[i]
-		nd := ex.nodes[b.dst]
-		if cap(nd.commReady) < len(b.members) {
-			nd.commReady = make([]int32, 0, len(b.members))
-		}
+	if err := ex.planBundles(); err != nil {
+		return nil, err
 	}
 
 	if ex.total == 0 && ex.dist == nil {
@@ -507,7 +475,7 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 	// epoch 0: every rank's lanes are up and bound before any data frame can
 	// be produced, so no rank ever receives wire traffic it has no run for.
 	if ex.dist != nil {
-		if err := ex.dist.Net.Bind(g.NumNodes, ex.deliver, ex.fail); err != nil {
+		if err := ex.dist.Net.Bind(g.NumNodes, ex.deliverRemote, ex.fail); err != nil {
 			return nil, err
 		}
 		if ex.agent != nil {
@@ -600,7 +568,7 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 		for drained := true; drained; {
 			select {
 			case r := <-nd.sendQ:
-				ex.dropped.Add(ex.reqTransfers(r))
+				ex.dropped.Add(ex.transfers(r.bundle))
 			case m := <-nd.inbox:
 				ex.dropped.Add(ex.droppedTransfers(m))
 			default:
@@ -616,7 +584,7 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 		for _, nd := range ex.nodes {
 			for k, p := range nd.rel.outstanding {
 				if _, ok := ex.nodes[k.peer].rel.seen[laneSeq{peer: nd.id, seq: k.seq}]; !ok {
-					ex.dropped.Add(ex.msgTransfers(p.m))
+					ex.dropped.Add(ex.transfers(p.m.Bundle))
 				}
 			}
 		}
@@ -627,8 +595,8 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 	// failed runs. Workers are gone, so the countdowns are settled.
 	for i := range ex.bundles {
 		b := &ex.bundles[i]
-		if rem := b.remaining.Load(); rem > 0 && rem < int32(len(b.members)) {
-			ex.dropped.Add(int64(len(b.members)) - int64(rem))
+		if rem := b.remaining.Load(); rem > 0 && rem < int32(len(b.Members)) {
+			ex.dropped.Add(int64(len(b.Members)) - int64(rem))
 		}
 	}
 
@@ -636,23 +604,16 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 	err := ex.runErr
 	ex.errMu.Unlock()
 	res := &Result{
-		Elapsed:        elapsed,
-		Stores:         ex.stores(),
-		Messages:       int(ex.messages.Load()),
-		BytesSent:      int(ex.bytesSent.Load()),
-		BundlesSent:    int(ex.bundlesSent.Load()),
-		BundleSegments: int(ex.bundleSegments.Load()),
-		Completed:      int(ex.completed.Load()),
-		Dropped:        int(ex.dropped.Load()),
-		NodeTasks:      make([]int, g.NumNodes),
-		NodeBusy:       make([]time.Duration, g.NumNodes),
-		NodeLocalHits:  make([]int, g.NumNodes),
-		NodeSteals:     make([]int, g.NumNodes),
-		NodeParks:      make([]int, g.NumNodes),
-		Fault:          ex.faultStats(),
-		StealsRemote:   int(ex.stealsRemote.Load()),
-		MigratedTasks:  int(ex.migratedTasks.Load()),
-		MigratedBytes:  int(ex.migratedBytes.Load()),
+		Counters:      ex.counters(),
+		Elapsed:       elapsed,
+		Stores:        ex.stores(),
+		Completed:     int(ex.completed.Load()),
+		Dropped:       int(ex.dropped.Load()),
+		NodeTasks:     make([]int, g.NumNodes),
+		NodeBusy:      make([]time.Duration, g.NumNodes),
+		NodeLocalHits: make([]int, g.NumNodes),
+		NodeSteals:    make([]int, g.NumNodes),
+		NodeParks:     make([]int, g.NumNodes),
 	}
 	for n := 0; n < g.NumNodes; n++ {
 		res.NodeTasks[n] = int(ex.nodeTasks[n].Load())
@@ -670,8 +631,6 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 			inner = append(inner, iv...)
 		}
 		res.OverlapRatio = trace.OverlapRatio(comm, inner)
-		res.InteriorTasks = int(ex.interiorTasks.Load())
-		res.BorderTasks = int(ex.borderTasks.Load())
 	}
 	if ex.dist != nil {
 		if err == nil {
@@ -684,12 +643,31 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 		}
 		ex.dist.Net.Unbind()
 	}
+	res.BundlesSent, res.BundleSegments = res.Bundles, res.Segments
 	if err != nil {
 		// The partial result accompanies the error so callers can audit
 		// what moved (and what was dropped) in the failed run.
 		return res, err
 	}
 	return res, nil
+}
+
+// counters snapshots the run's additive accounting from the hot-path
+// atomics. The split counters are only maintained on graphs with inner
+// tasks, so they read zero elsewhere.
+func (ex *executor) counters() ptg.Counters {
+	return ptg.Counters{
+		Messages:      int(ex.messages.Load()),
+		BytesSent:     int(ex.bytesSent.Load()),
+		Bundles:       int(ex.bundlesSent.Load()),
+		Segments:      int(ex.bundleSegments.Load()),
+		Fault:         ex.faultStats(),
+		InteriorTasks: int(ex.interiorTasks.Load()),
+		BorderTasks:   int(ex.borderTasks.Load()),
+		StealsRemote:  int(ex.stealsRemote.Load()),
+		MigratedTasks: int(ex.migratedTasks.Load()),
+		MigratedBytes: int(ex.migratedBytes.Load()),
+	}
 }
 
 func (ex *executor) stores() []*Store {
@@ -964,8 +942,7 @@ func (ex *executor) releaseSuccs(nd *execNode, idx int32, ready []int32) []int32
 			if atomic.AddInt32(&ex.pending[sIdx], -1) == 0 && !ex.divert(sIdx) {
 				ready = append(ready, sIdx)
 			}
-		} else if ex.depBundle != nil && ex.depBundle[sIdx][e.Dep] >= 0 {
-			bi := ex.depBundle[sIdx][e.Dep]
+		} else if bi := ex.plan.Of(sIdx, e.Dep); bi >= 0 {
 			if ex.bundles[bi].remaining.Add(-1) == 0 {
 				nd.sendQ <- sendReq{bundle: bi + 1}
 			}
@@ -1025,7 +1002,7 @@ func (ex *executor) comm(nd *execNode, wg *sync.WaitGroup) {
 			for {
 				select {
 				case r := <-nd.sendQ:
-					ex.dropped.Add(ex.reqTransfers(r))
+					ex.dropped.Add(ex.transfers(r.bundle))
 				case m := <-nd.inbox:
 					ex.dropped.Add(ex.droppedTransfers(m))
 				default:
@@ -1087,7 +1064,7 @@ func (ex *executor) send(e ptg.Env, nd *execNode, req sendReq) {
 	var dst int32
 	var segs, bytes int
 	if req.bundle != 0 {
-		dst = ex.bundles[req.bundle-1].dst
+		dst = ex.bundles[req.bundle-1].Dst
 		segs, bytes = ex.sendBundle(e, nd, req.bundle-1)
 	} else {
 		dst = ex.g.Tasks[req.task].Node

@@ -106,7 +106,7 @@ func TestDistributedJobMatchesSingleProcess(t *testing.T) {
 	if a, b := res.Exec.Messages, j2.RealResult().Exec.Messages; a != b {
 		t.Errorf("messages: distributed %d != single %d", a, b)
 	}
-	if a, b := res.Exec.BundlesSent, j2.RealResult().Exec.BundlesSent; a != b {
+	if a, b := res.Exec.Bundles, j2.RealResult().Exec.Bundles; a != b {
 		t.Errorf("bundles: distributed %d != single %d", a, b)
 	}
 

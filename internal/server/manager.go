@@ -11,6 +11,7 @@ import (
 
 	castencil "castencil"
 	"castencil/internal/metrics"
+	"castencil/internal/ptg"
 )
 
 // Sentinel errors of the admission path. HTTP maps ErrQueueFull to 429 and
@@ -431,11 +432,7 @@ func (m *Manager) runJob(j *Job) {
 		m.mDuration["sim"].Observe(time.Since(start).Seconds())
 		if err == nil {
 			m.mTasks.Add(int64(res.Sim.Tasks))
-			m.mMessages.Add(int64(res.Messages))
-			m.mBytes.Add(int64(res.BytesSent))
-			m.mBundles.Add(int64(res.Bundles))
-			m.mSegments.Add(int64(res.Segments))
-			m.mRetransmit.Add(int64(res.Fault.Retransmits))
+			m.addCounters(res.Counters)
 			j.mu.Lock()
 			j.sim = res
 			j.mu.Unlock()
@@ -517,11 +514,7 @@ func (m *Manager) execReal(j *Job, variant castencil.Variant, cfg castencil.Conf
 	if err == nil {
 		ex := res.Exec
 		m.mTasks.Add(int64(ex.Completed))
-		m.mMessages.Add(int64(ex.Messages))
-		m.mBytes.Add(int64(ex.BytesSent))
-		m.mBundles.Add(int64(ex.BundlesSent))
-		m.mSegments.Add(int64(ex.BundleSegments))
-		m.mRetransmit.Add(int64(ex.Fault.Retransmits))
+		m.addCounters(ex.Counters)
 		steals := 0
 		for _, s := range ex.NodeSteals {
 			steals += s
@@ -532,6 +525,15 @@ func (m *Manager) execReal(j *Job, variant castencil.Variant, cfg castencil.Conf
 		j.mu.Unlock()
 	}
 	m.finishJob(j, err)
+}
+
+// addCounters folds one run's traffic accounting into the service counters.
+func (m *Manager) addCounters(c ptg.Counters) {
+	m.mMessages.Add(int64(c.Messages))
+	m.mBytes.Add(int64(c.BytesSent))
+	m.mBundles.Add(int64(c.Bundles))
+	m.mSegments.Add(int64(c.Segments))
+	m.mRetransmit.Add(int64(c.Fault.Retransmits))
 }
 
 // planRatio maps the spec's ratio (0 = unset) onto AutoPlan's knob, where
