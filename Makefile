@@ -25,9 +25,10 @@ bench-smoke:
 		-benchtime 100x -benchmem \
 		./internal/core/ ./internal/stencil/ ./internal/grid/
 
-# Scheduler comparison behind BENCH_2.json: shared queue vs work stealing
-# on the end-to-end executor and on a pure-scheduling task storm, plus the
-# bench-harness ablation table.
+# Scheduler benchmarks: the end-to-end executor and a pure-scheduling task
+# storm on the shared per-node ready queue, plus the bench-harness queue
+# order ablation table. (BENCH_2.json recorded the removed work-stealing
+# scheduler against this queue.)
 bench-sched:
 	$(GO) test -run '^$$' -bench 'ExecutorReal|SchedulerThroughput' \
 		-benchtime 20x -benchmem \

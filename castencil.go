@@ -22,12 +22,12 @@
 //	cfg := castencil.Config{N: 2880, TileRows: 288, P: 2, Steps: 100, StepSize: 15}
 //	res, err := castencil.Sim(castencil.CA, cfg, castencil.WithMachine(castencil.NaCL()))
 //
-// Real execution with work stealing, coalesced halo lanes and an injected
-// fault schedule masked by the reliable transport:
+// Real execution with a priority-ordered ready queue, coalesced halo lanes
+// and an injected fault schedule masked by the reliable transport:
 //
 //	plan, _ := castencil.ParseFaultPlan("drop=0.01,dup=0.01,seed=7")
 //	out, err := castencil.Run(castencil.CA, cfg,
-//	    castencil.WithSched(castencil.WorkStealing),
+//	    castencil.WithPolicy(castencil.PriorityOrder),
 //	    castencil.WithCoalesce(castencil.CoalesceAuto),
 //	    castencil.WithFaultPlan(plan))
 //
@@ -85,37 +85,46 @@ type RealResult = core.RealResult
 // policy, tracing, fault injection, message interception).
 //
 // Deprecated: build options with the functional Option list of Run
-// (WithWorkers, WithSched, WithCoalesce, WithFaultPlan, ...). ExecOptions
+// (WithWorkers, WithPolicy, WithCoalesce, WithFaultPlan, ...). ExecOptions
 // remains as the engine-level struct behind RunOptions.real (RunGraph
 // still accepts it directly).
 type ExecOptions = runtime.Options
 
-// Scheduling policies of the real runtime (queue order under the shared
-// scheduler; injection-queue order under work stealing).
+// Scheduling policies of the real runtime: the order of the one ready
+// queue each node's workers share.
 const (
 	FIFO          = runtime.FIFO
 	LIFO          = runtime.LIFO
 	PriorityOrder = runtime.PriorityOrder
 )
 
-// Sched selects the scheduler architecture of the real runtime: SharedQueue
-// (one locked per-node queue, the compatibility scheduler) or WorkStealing
-// (per-worker lock-free deques with locality-first successor placement).
-// Scheduler choice never changes numerics — only performance.
+// Sched selected between the real runtime's two schedulers, a shared
+// per-node queue and per-worker work-stealing deques. The runtime now has
+// one: a Policy-ordered ready queue per node, shared by its workers.
+//
+// Deprecated: Sched selects nothing; order the queue with WithPolicy or
+// WithSchedSpec.
 type Sched = runtime.Sched
 
 // Scheduler architectures.
+//
+// Deprecated: both run the shared per-node queue; see Sched.
 const (
 	SharedQueue  = runtime.SharedQueue
 	WorkStealing = runtime.WorkStealing
 )
 
-// SchedNames lists the scheduler names ParseSched accepts, for flag help.
+// SchedNames lists the queue orders ParseSched accepts, for flag help.
 const SchedNames = runtime.SchedNames
 
-// ParseSched maps a command-line scheduler name ("steal", "fifo", "lifo",
-// "priority", ...) to a scheduler architecture and queue policy.
-func ParseSched(name string) (Sched, Policy, error) { return runtime.ParseSched(name) }
+// ParseSched maps a command-line scheduler name ("fifo", "lifo",
+// "priority", ...) to the ready-queue policy. The Sched result is always
+// SharedQueue. "steal", "ws" and "work-stealing" are deprecated spellings
+// of "fifo".
+func ParseSched(name string) (Sched, Policy, error) {
+	p, err := runtime.ParseSched(name)
+	return SharedQueue, p, err
+}
 
 // CoalesceMode selects halo-bundle coalescing: all cross-node payloads one
 // node produces in one epoch toward one neighbor travel as a single wire

@@ -46,7 +46,7 @@ func main() {
 	wavefrontFlag := cli.WavefrontVar(flag.CommandLine, 10)
 	ratio := flag.Float64("ratio", 1, "kernel adjustment ratio (sim only)")
 	workers := flag.Int("workers", 2, "workers per node (real engine)")
-	schedFlag := cli.SchedVar(flag.CommandLine, "steal")
+	schedFlag := cli.SchedVar(flag.CommandLine, "fifo")
 	coalesceFlag := cli.CoalesceVar(flag.CommandLine, "off")
 	transformFlag := cli.TransformVar(flag.CommandLine, "none")
 	faultFlag := cli.FaultVar(flag.CommandLine)
@@ -217,7 +217,6 @@ func main() {
 	case "real":
 		opts := []castencil.Option{
 			castencil.WithWorkers(*workers),
-			castencil.WithSched(schedFlag.Sched),
 			castencil.WithPolicy(schedFlag.Policy),
 			castencil.WithCoalesce(coalesceFlag.Mode),
 			castencil.WithFaultPlan(faultFlag.Plan),
@@ -249,7 +248,7 @@ func main() {
 			return
 		}
 		fmt.Printf("%s real run (%s): %d nodes x %d workers, elapsed %v, %d messages, %.1f MB sent\n",
-			variant, schedFlag.Sched, *nodes, *workers, res.Exec.Elapsed, res.Exec.Messages, float64(res.Exec.BytesSent)/1e6)
+			variant, schedFlag.Policy, *nodes, *workers, res.Exec.Elapsed, res.Exec.Messages, float64(res.Exec.BytesSent)/1e6)
 		if distributed {
 			fmt.Printf("  distributed: %d ranks, grid sha256 %s\n", len(rankAddrs), castencil.GridSHA256(res.Grid))
 			if stealFlag.Mode != castencil.StealOff || res.Exec.MigratedTasks > 0 {
@@ -258,16 +257,6 @@ func main() {
 			}
 		}
 		printCounters(res.Exec.Counters, res.Exec.OverlapRatio)
-		if schedFlag.Sched == castencil.WorkStealing {
-			hits, steals, parks := 0, 0, 0
-			for n := range res.Exec.NodeLocalHits {
-				hits += res.Exec.NodeLocalHits[n]
-				steals += res.Exec.NodeSteals[n]
-				parks += res.Exec.NodeParks[n]
-			}
-			fmt.Printf("  scheduler: %d local deque hits, %d steals, %d parks across %d tasks\n",
-				hits, steals, parks, res.Exec.Completed)
-		}
 		if tr != nil {
 			writeTrace(tr, *traceOut, "trace")
 		}

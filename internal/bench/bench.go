@@ -96,8 +96,9 @@ type Params struct {
 	Ratios    []float64
 	StepSizes []int // Fig. 9 sweep (paper: 5, 15, 25, 40)
 	TileSweep []int // Fig. 6 tile sizes (0 = per-machine defaults)
-	// Sched filters the real-runtime scheduler comparison to one named
-	// scheduler ("steal", "fifo", "lifo", "priority"); empty runs them all.
+	// Sched filters the real-runtime scheduler comparison to one queue
+	// order ("fifo", "lifo", "priority", or a synonym runtime.ParseSched
+	// accepts); empty runs them all.
 	Sched string
 	// Coalesce filters the halo-coalescing ablation to one mode ("off",
 	// "step", "auto"); empty runs the full off-vs-step comparison.

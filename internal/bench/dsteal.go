@@ -145,7 +145,7 @@ func dstealRun(cfg core.Config, pol *runtime.StealPolicy, ts [2]*netcomm.Transpo
 		go func(r int) {
 			defer wg.Done()
 			res[r], errs[r] = core.RunReal(core.WF, cfg, runtime.Options{
-				Workers: 1, Sched: runtime.WorkStealing, Coalesce: ptg.CoalesceOff,
+				Workers: 1, Coalesce: ptg.CoalesceOff,
 				Dist:  &runtime.Dist{Rank: r, Ranks: 2, Net: ts[r]},
 				Steal: pol,
 			})
@@ -259,7 +259,7 @@ func Dsteal(p Params) (*Report, error) {
 
 	// ---- Real arms: single-process anchor, then the mesh arms.
 	single, err := core.RunReal(core.WF, skewed, runtime.Options{
-		Workers: 1, Sched: runtime.WorkStealing, Coalesce: ptg.CoalesceOff,
+		Workers: 1, Coalesce: ptg.CoalesceOff,
 	})
 	if err != nil {
 		return nil, err
@@ -333,7 +333,7 @@ func Dsteal(p Params) (*Report, error) {
 		Columns: []string{"Steal", "Wall", "Remote", "MigTasks", "sha=1proc"},
 	}
 	singleB, err := core.RunReal(core.WF, balanced, runtime.Options{
-		Workers: 1, Sched: runtime.WorkStealing, Coalesce: ptg.CoalesceOff,
+		Workers: 1, Coalesce: ptg.CoalesceOff,
 	})
 	if err != nil {
 		return nil, err

@@ -183,38 +183,35 @@ func Schedulers(p Params) (*Report, error) {
 	}
 	r.Tables = append(r.Tables, t)
 
-	// Real runtime: wall-clock of a small problem under each scheduler —
-	// the shared queue in its three orderings plus the work-stealing
-	// scheduler, with the stealing observability counters alongside.
+	// Real runtime: wall-clock of a small problem under each order of the
+	// shared per-node ready queue.
 	rt := Table{
 		Title:   "real runtime: N=480 tile=48, 4 nodes x 4 workers, CA s=6",
-		Columns: []string{"Scheduler", "Elapsed", "Messages", "LocalHits", "Steals", "Parks"},
+		Columns: []string{"Scheduler", "Elapsed", "Messages", "Parks"},
 	}
 	small := core.Config{N: 480, TileRows: 48, P: 2, Steps: 30, StepSize: 6}
-	for _, name := range []string{"fifo", "lifo", "priority", "steal"} {
-		if p.Sched != "" && name != p.Sched {
-			continue
-		}
-		s, pol, err := runtime.ParseSched(name)
+	pols := []runtime.Policy{runtime.FIFO, runtime.LIFO, runtime.PriorityOrder}
+	if p.Sched != "" {
+		pol, err := runtime.ParseSched(p.Sched)
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.RunReal(core.CA, small, runtime.Options{Workers: 4, Sched: s, Policy: pol})
+		pols = []runtime.Policy{pol}
+	}
+	for _, pol := range pols {
+		res, err := core.RunReal(core.CA, small, runtime.Options{Workers: 4, Policy: pol})
 		if err != nil {
 			return nil, err
 		}
-		hits, steals, parks := 0, 0, 0
-		for n := range res.Exec.NodeLocalHits {
-			hits += res.Exec.NodeLocalHits[n]
-			steals += res.Exec.NodeSteals[n]
-			parks += res.Exec.NodeParks[n]
+		parks := 0
+		for _, n := range res.Exec.NodeParks {
+			parks += n
 		}
-		rt.AddRow(name, res.Exec.Elapsed.Round(time.Millisecond).String(), itoa(res.Exec.Messages),
-			itoa(hits), itoa(steals), itoa(parks))
+		rt.AddRow(pol.String(), res.Exec.Elapsed.Round(time.Millisecond).String(), itoa(res.Exec.Messages), itoa(parks))
 	}
 	r.Tables = append(r.Tables, rt)
 	r.Notes = append(r.Notes, "real-runtime wall clock is host-dependent; it demonstrates scheduler plumbing, not cluster performance")
-	r.Notes = append(r.Notes, "LocalHits and Steals are zero under the shared-queue schedulers by construction; Parks counts idle waits for every scheduler")
+	r.Notes = append(r.Notes, "Parks counts idle waits of the workers on their node's queue")
 	return r, nil
 }
 

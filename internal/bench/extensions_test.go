@@ -109,17 +109,17 @@ func TestSchedulers(t *testing.T) {
 	if len(r.Tables) != 2 {
 		t.Fatalf("tables = %d", len(r.Tables))
 	}
-	if len(r.Tables[1].Rows) != 4 {
-		t.Errorf("real-runtime rows = %d, want 4 schedulers", len(r.Tables[1].Rows))
+	if len(r.Tables[1].Rows) != 3 {
+		t.Errorf("real-runtime rows = %d, want 3 queue orders", len(r.Tables[1].Rows))
 	}
 
-	p.Sched = "steal"
+	p.Sched = "steal" // deprecated spelling of fifo
 	r, err = Schedulers(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Tables[1].Rows) != 1 || r.Tables[1].Rows[0][0] != "steal" {
-		t.Errorf("Sched filter: rows = %v, want the single steal row", r.Tables[1].Rows)
+	if len(r.Tables[1].Rows) != 1 || r.Tables[1].Rows[0][0] != "fifo" {
+		t.Errorf("Sched filter: rows = %v, want the single fifo row", r.Tables[1].Rows)
 	}
 }
 

@@ -83,7 +83,7 @@ func lanesRun(cfg core.Config, coal ptg.CoalesceMode, ts [2]*netcomm.Transport) 
 		go func(r int) {
 			defer wg.Done()
 			res[r], errs[r] = core.RunReal(core.Base, cfg, runtime.Options{
-				Workers: 1, Sched: runtime.WorkStealing, Coalesce: coal,
+				Workers: 1, Coalesce: coal,
 				Dist: &runtime.Dist{Rank: r, Ranks: 2, Net: ts[r]},
 			})
 		}(r)
@@ -159,7 +159,7 @@ func Lanes(p Params) (*Report, error) {
 			continue
 		}
 		single, err := core.RunReal(core.Base, cfg, runtime.Options{
-			Workers: 1, Sched: runtime.WorkStealing, Coalesce: coal,
+			Workers: 1, Coalesce: coal,
 		})
 		if err != nil {
 			return nil, err

@@ -148,7 +148,7 @@ func Overlap(p Params) (*Report, error) {
 					name = "split"
 				}
 				res, err := core.RunReal(core.Base, cfg, runtime.Options{
-					Workers: 2, Sched: runtime.WorkStealing, Coalesce: coal,
+					Workers: 2, Coalesce: coal,
 				})
 				if err != nil {
 					return nil, err

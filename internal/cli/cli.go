@@ -20,15 +20,13 @@ import (
 	"castencil/internal/runtime"
 )
 
-// SchedFlag is the -sched flag: a scheduler spelling resolved through
+// SchedFlag is the -sched flag: a ready-queue order resolved through
 // runtime.ParseSched. The zero value means "not set" (bench experiments
-// read that as "all schedulers").
+// read that as "all orders").
 type SchedFlag struct {
 	// Name is the raw spelling as passed ("" when unset).
 	Name string
-	// Sched and Policy are the resolved configuration (valid when Name
-	// is non-empty).
-	Sched  runtime.Sched
+	// Policy is the resolved queue order (valid when Name is non-empty).
 	Policy runtime.Policy
 }
 
@@ -40,11 +38,11 @@ func (f *SchedFlag) Set(s string) error {
 		*f = SchedFlag{}
 		return nil
 	}
-	sc, pol, err := runtime.ParseSched(s)
+	pol, err := runtime.ParseSched(s)
 	if err != nil {
 		return err
 	}
-	f.Name, f.Sched, f.Policy = s, sc, pol
+	f.Name, f.Policy = s, pol
 	return nil
 }
 
@@ -55,7 +53,7 @@ func SchedVar(fs *flag.FlagSet, def string) *SchedFlag {
 	if err := f.Set(def); err != nil {
 		panic(fmt.Sprintf("cli: bad default -sched %q: %v", def, err))
 	}
-	fs.Var(f, "sched", "real-engine scheduler: "+runtime.SchedNames)
+	fs.Var(f, "sched", "real-engine ready-queue order: "+runtime.SchedNames)
 	return f
 }
 

@@ -16,15 +16,15 @@ func newSet(t *testing.T) *flag.FlagSet {
 
 func TestSchedFlag(t *testing.T) {
 	fs := newSet(t)
-	f := SchedVar(fs, "steal")
-	if f.Sched != runtime.WorkStealing {
-		t.Fatalf("default: got %v, want WorkStealing", f.Sched)
+	f := SchedVar(fs, "steal") // deprecated spelling of fifo
+	if f.Name != "steal" || f.Policy != runtime.FIFO {
+		t.Fatalf("default: got (%q, %v), want (steal, fifo)", f.Name, f.Policy)
 	}
 	if err := fs.Parse([]string{"-sched", "priority"}); err != nil {
 		t.Fatal(err)
 	}
-	if f.Sched != runtime.SharedQueue || f.Policy != runtime.PriorityOrder {
-		t.Fatalf("got (%v, %v), want (SharedQueue, PriorityOrder)", f.Sched, f.Policy)
+	if f.Policy != runtime.PriorityOrder {
+		t.Fatalf("got %v, want PriorityOrder", f.Policy)
 	}
 	if err := fs.Parse([]string{"-sched", "bogus"}); err == nil {
 		t.Fatal("bad spelling accepted")

@@ -84,9 +84,8 @@ func BenchmarkMsgRoundTripZeroCopy(b *testing.B) {
 	}
 }
 
-// benchSchedCases enumerates the scheduler configurations the executor
-// benchmarks compare: the shared-queue compatibility scheduler vs the
-// work-stealing scheduler, at 2 and 4 workers per node.
+// benchSchedCases enumerates the worker counts the executor benchmarks
+// compare: 2 and 4 workers per node on the shared per-node queue.
 func benchSchedCases() []struct {
 	Name string
 	Opts runtime.Options
@@ -95,10 +94,8 @@ func benchSchedCases() []struct {
 		Name string
 		Opts runtime.Options
 	}{
-		{"shared-w2", runtime.Options{Workers: 2}},
-		{"steal-w2", runtime.Options{Workers: 2, Sched: runtime.WorkStealing}},
-		{"shared-w4", runtime.Options{Workers: 4}},
-		{"steal-w4", runtime.Options{Workers: 4, Sched: runtime.WorkStealing}},
+		{"w2", runtime.Options{Workers: 2}},
+		{"w4", runtime.Options{Workers: 4}},
 	}
 }
 

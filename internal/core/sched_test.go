@@ -10,10 +10,10 @@ import (
 	"castencil/internal/runtime"
 )
 
-// schedVariants enumerates every scheduler the runtime offers, by the names
-// ParseSched accepts on the command line.
+// schedVariants enumerates every ready-queue order the runtime offers, by
+// the names ParseSched accepts on the command line.
 func schedVariants() []string {
-	return []string{"fifo", "lifo", "priority", "steal"}
+	return []string{"fifo", "lifo", "priority"}
 }
 
 // runSched executes a variant under one named scheduler and worker count.
@@ -25,11 +25,11 @@ func runSched(t *testing.T, v Variant, cfg Config, sched string, workers int) *R
 // runSchedCoalesce is runSched with an explicit halo-coalescing mode.
 func runSchedCoalesce(t *testing.T, v Variant, cfg Config, sched string, workers int, coal ptg.CoalesceMode) *RealResult {
 	t.Helper()
-	s, p, err := runtime.ParseSched(sched)
+	p, err := runtime.ParseSched(sched)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunReal(v, cfg, runtime.Options{Workers: workers, Sched: s, Policy: p, Coalesce: coal})
+	res, err := RunReal(v, cfg, runtime.Options{Workers: workers, Policy: p, Coalesce: coal})
 	if err != nil {
 		t.Fatalf("%s w=%d coalesce=%v: %v", sched, workers, coal, err)
 	}
@@ -96,20 +96,20 @@ func TestSchedulerDeterminism(t *testing.T) {
 	}
 }
 
-// TestSchedulerDeterminismObservability spot-checks that the steal-mode
-// counters surface through RunReal: a multi-worker CA run must account
-// every task to either a local deque hit, a steal, or the injection queue.
+// TestSchedulerDeterminismObservability spot-checks that the scheduler's
+// per-node counters surface through RunReal: a multi-worker CA run must
+// account every completed task to exactly one node and report a park count
+// for every node.
 func TestSchedulerDeterminismObservability(t *testing.T) {
-	res := runSched(t, CA, Config{N: 24, TileRows: 6, P: 2, Steps: 8, StepSize: 3}, "steal", 4)
-	hits, steals := 0, 0
-	for n := range res.Exec.NodeLocalHits {
-		hits += res.Exec.NodeLocalHits[n]
-		steals += res.Exec.NodeSteals[n]
+	res := runSched(t, CA, Config{N: 24, TileRows: 6, P: 2, Steps: 8, StepSize: 3}, "fifo", 4)
+	tasks := 0
+	for _, n := range res.Exec.NodeTasks {
+		tasks += n
 	}
-	if hits+steals > res.Exec.Completed {
-		t.Fatalf("localHits+steals = %d exceeds completed %d", hits+steals, res.Exec.Completed)
+	if tasks != res.Exec.Completed {
+		t.Fatalf("per-node tasks sum to %d, completed %d", tasks, res.Exec.Completed)
 	}
-	if hits == 0 {
-		t.Error("no local deque hits on a multi-step CA run: locality-first placement is not engaging")
+	if len(res.Exec.NodeParks) != len(res.Exec.NodeTasks) {
+		t.Errorf("park counts for %d nodes, tasks for %d", len(res.Exec.NodeParks), len(res.Exec.NodeTasks))
 	}
 }

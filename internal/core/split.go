@@ -224,7 +224,7 @@ func (p *splitPass) Apply(g *ptg.Graph) (*ptg.Graph, error) {
 				continue
 			}
 			withBodies := orig.Run != nil
-			// Interior: fills the steal deques at base priority while
+			// Interior: fills the ready queue at base priority while
 			// border tasks (p0+1) drain first to unblock neighbors.
 			it := ptg.Task{
 				ID: innerID(inf.ti, inf.tj, t), Node: orig.Node, Kind: ptg.KindInner,

@@ -350,7 +350,7 @@ func BenchmarkExecutorSplit(b *testing.B) {
 			cfg := sh.cfg
 			cfg.Transform = tr
 			b.Run(sh.name+"-"+tr.String(), func(b *testing.B) {
-				benchExecutor(b, sh.v, cfg, runtime.Options{Workers: 2, Sched: runtime.WorkStealing})
+				benchExecutor(b, sh.v, cfg, runtime.Options{Workers: 2})
 			})
 		}
 	}

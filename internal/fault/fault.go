@@ -128,7 +128,7 @@ func (p *Plan) NeedsRecovery() bool {
 	return p.Drop > 0 || p.Dup > 0 || len(p.Pauses) > 0
 }
 
-// Validate rejects out-of-range probabilities and negative durations.
+// Validate rejects out-of-range or NaN probabilities and negative durations.
 func (p *Plan) Validate() error {
 	if p == nil {
 		return nil
@@ -137,7 +137,7 @@ func (p *Plan) Validate() error {
 		name string
 		v    float64
 	}{{"drop", p.Drop}, {"dup", p.Dup}, {"delay", p.Delay}, {"reorder", p.Reorder}} {
-		if pr.v < 0 || pr.v > 1 {
+		if !(pr.v >= 0 && pr.v <= 1) { // NaN fails both bounds
 			return fmt.Errorf("fault: %s probability %v outside [0,1]", pr.name, pr.v)
 		}
 	}
@@ -496,10 +496,17 @@ func parseProb(key, v string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if f < 0 || f > 1 {
+	if !(f >= 0 && f <= 1) { // NaN fails both bounds
 		return 0, fmt.Errorf("probability outside [0,1]")
 	}
 	return f, nil
+}
+
+// parseID parses a node or core number, which the plan stores as int32:
+// wider values are rejected rather than wrapped onto another node.
+func parseID(v string) (int32, error) {
+	n, err := strconv.ParseInt(v, 10, 32)
+	return int32(n), err
 }
 
 func parseSlow(v string) (SlowCore, error) {
@@ -507,11 +514,11 @@ func parseSlow(v string) (SlowCore, error) {
 	if len(parts) != 4 {
 		return SlowCore{}, fmt.Errorf("want NODE:CORE:EXTRA:TASKS")
 	}
-	node, err := strconv.Atoi(parts[0])
+	node, err := parseID(parts[0])
 	if err != nil {
 		return SlowCore{}, err
 	}
-	core, err := strconv.Atoi(parts[1])
+	core, err := parseID(parts[1])
 	if err != nil {
 		return SlowCore{}, err
 	}
@@ -523,7 +530,7 @@ func parseSlow(v string) (SlowCore, error) {
 	if err != nil {
 		return SlowCore{}, err
 	}
-	return SlowCore{Node: int32(node), Core: int32(core), Extra: extra, Tasks: tasks}, nil
+	return SlowCore{Node: node, Core: core, Extra: extra, Tasks: tasks}, nil
 }
 
 func parseNodeEpisode(key, v string) (int32, int, time.Duration, error) {
@@ -531,7 +538,7 @@ func parseNodeEpisode(key, v string) (int32, int, time.Duration, error) {
 	if len(parts) != 3 {
 		return 0, 0, 0, fmt.Errorf("want NODE:AFTER:DUR")
 	}
-	node, err := strconv.Atoi(parts[0])
+	node, err := parseID(parts[0])
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -543,7 +550,7 @@ func parseNodeEpisode(key, v string) (int32, int, time.Duration, error) {
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	return int32(node), after, d, nil
+	return node, after, d, nil
 }
 
 // String renders the plan back into (canonical) spec syntax.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -122,6 +123,75 @@ func TestParsePlanErrors(t *testing.T) {
 			t.Errorf("ParsePlan(%q) = %v, %v; want nil, nil", spec, p, err)
 		}
 	}
+}
+
+// TestParsePlanRejectsSilentInputs covers specs the parser once accepted
+// while meaning something else: NaN probabilities (which compare false
+// against both bounds and turned into an inert "off" plan or vanished from
+// the round trip) and node numbers past int32 (which wrapped onto a real
+// node).
+func TestParsePlanRejectsSilentInputs(t *testing.T) {
+	for _, c := range []struct{ name, spec string }{
+		{"drop-NaN", "drop=NaN"},
+		{"delay-nan", "delay=nan,seed=3"},
+		{"pause-node-wraps", "pause=4294967297:1:1s"},
+		{"slow-node-wraps", "slow=4294967296:0:1ms:3"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if p, err := ParsePlan(c.spec); err == nil {
+				t.Errorf("ParsePlan(%q) accepted: %v", c.spec, p)
+			}
+		})
+	}
+	// The widest legal values still parse.
+	p, err := ParsePlan("slow=2147483647:-2147483648:1ms:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := p.SlowCores[0]; s.Node != math.MaxInt32 || s.Core != math.MinInt32 {
+		t.Errorf("int32 bounds parsed as %+v", s)
+	}
+}
+
+func TestValidateRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, p := range []*Plan{{Drop: nan}, {Dup: nan}, {Delay: nan}, {Reorder: nan}} {
+		if err := p.Validate(); err == nil {
+			t.Errorf("Validate accepted %+v", *p)
+		}
+	}
+}
+
+// FuzzParsePlan: every spec ParsePlan accepts must render through
+// Plan.String to a spec that parses back to an equal plan. The committed
+// corpus (testdata/fuzz/FuzzParsePlan) holds the inputs that once slipped
+// through (NaN probabilities, wrapping node numbers) next to valid specs.
+func FuzzParsePlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParsePlan(spec)
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("ParsePlan(%q) returned a plan Validate rejects: %v", spec, err)
+		}
+		out := p.String()
+		q, err := ParsePlan(out)
+		if err != nil {
+			t.Fatalf("ParsePlan(%q) accepted, but its rendering %q is rejected: %v", spec, out, err)
+		}
+		// A plan that injects nothing renders as "off", which parses to
+		// nil: both mean "no faults".
+		if p == nil {
+			p = &Plan{}
+		}
+		if q == nil {
+			q = &Plan{}
+		}
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("round trip changed the plan: %q -> %+v, via %q -> %+v", spec, *p, out, *q)
+		}
+	})
 }
 
 func TestRecoveryBackoff(t *testing.T) {

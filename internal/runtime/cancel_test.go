@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"castencil/internal/leakcheck"
 	"castencil/internal/ptg"
 )
 
@@ -47,27 +47,13 @@ func buildSlowChain(t *testing.T, length int, nodes int, delay time.Duration) *p
 	return g
 }
 
-// waitGoroutines polls until the goroutine count settles back to at most
-// base (plus slack for runtime background goroutines), failing after a
-// generous deadline. Run must not leak goroutines however it ends.
-func waitGoroutines(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= base {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d now vs %d before the run", runtime.NumGoroutine(), base)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
+// TestRunContextCancelStopsPromptly cancels a run mid-flight, once per
+// Sched value: both run the one shared-queue scheduler (Options.Sched is a
+// deprecated selector), and each must stop promptly without leaking.
 func TestRunContextCancelStopsPromptly(t *testing.T) {
 	for _, sched := range []Sched{SharedQueue, WorkStealing} {
 		t.Run(fmt.Sprintf("sched=%v", sched), func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			defer leakcheck.Guard(t)()
 			g := buildSlowChain(t, 200, 2, time.Millisecond)
 			ctx, cancel := context.WithCancel(context.Background())
 			started := make(chan struct{})
@@ -102,7 +88,6 @@ func TestRunContextCancelStopsPromptly(t *testing.T) {
 			if ce.Done >= ce.Total {
 				t.Errorf("cancelled run claims %d of %d tasks done", ce.Done, ce.Total)
 			}
-			waitGoroutines(t, before)
 		})
 	}
 }
@@ -122,15 +107,14 @@ func TestRunContextCancelBeforeStart(t *testing.T) {
 }
 
 func TestRunContextDeadline(t *testing.T) {
-	before := runtime.NumGoroutine()
+	defer leakcheck.Guard(t)()
 	g := buildSlowChain(t, 500, 1, time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err := Run(g, Options{Workers: 1, Sched: WorkStealing, Ctx: ctx})
+	_, err := Run(g, Options{Workers: 1, Ctx: ctx})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("error %v does not unwrap to context.DeadlineExceeded", err)
 	}
-	waitGoroutines(t, before)
 }
 
 func TestRunContextUncancelledIsHarmless(t *testing.T) {

@@ -173,6 +173,40 @@ func (ex *executor) checkRemote(m Message) error {
 	return nil
 }
 
+// arrivals guards a distributed run against a peer delivering one transfer
+// twice: the plain wire has no sequence numbers to deduplicate by, and the
+// reliable transport's dedup trusts the peer's numbering. The first
+// delivery of each cross dependency and each bundle sets its flag; a second
+// one fails the run before its payload reaches the store, where it would
+// race the consumer already running on the first. A flag is only touched by
+// the comm goroutine of its transfer's destination node.
+type arrivals struct {
+	off  []int32 // task -> flag of its first dependency; bundle flags follow the last task's
+	seen []bool
+}
+
+func newArrivals(g *ptg.Graph, bundles int) *arrivals {
+	a := &arrivals{off: make([]int32, len(g.Tasks)+1)}
+	for i := range g.Tasks {
+		a.off[i+1] = a.off[i] + int32(len(g.Tasks[i].Deps))
+	}
+	a.seen = make([]bool, int(a.off[len(g.Tasks)])+bundles)
+	return a
+}
+
+// first marks a data message's transfer delivered and reports whether it
+// was not delivered before. The message has passed checkRemote (or came
+// from this rank), so its indices are in range.
+func (a *arrivals) first(m Message) bool {
+	i := a.off[len(a.off)-1] + m.Bundle - 1
+	if m.Bundle == 0 {
+		i = a.off[m.Task] + m.Dep
+	}
+	seen := a.seen[i]
+	a.seen[i] = true
+	return !seen
+}
+
 // sendRemote ships a message whose destination node lives on another rank
 // and recycles the local payload buffer: the bytes are on the wire (or the
 // send failed and the run is over), so by the same ownership convention the
@@ -236,13 +270,11 @@ func (ex *executor) distDrain() {
 // plenty).
 type distStats struct {
 	ptg.Counters
-	Completed     int             `json:"completed"`
-	Dropped       int             `json:"dropped"`
-	NodeTasks     []int           `json:"node_tasks"`
-	NodeBusy      []time.Duration `json:"node_busy"`
-	NodeLocalHits []int           `json:"node_local_hits"`
-	NodeSteals    []int           `json:"node_steals"`
-	NodeParks     []int           `json:"node_parks"`
+	Completed int             `json:"completed"`
+	Dropped   int             `json:"dropped"`
+	NodeTasks []int           `json:"node_tasks"`
+	NodeBusy  []time.Duration `json:"node_busy"`
+	NodeParks []int           `json:"node_parks"`
 }
 
 // distExchangeStats folds every rank's counters into rank 0's Result, so the
@@ -252,14 +284,12 @@ type distStats struct {
 // is not additive and stays rank-local.
 func (ex *executor) distExchangeStats(res *Result) error {
 	payload, err := json.Marshal(&distStats{
-		Counters:      res.Counters,
-		Completed:     res.Completed,
-		Dropped:       res.Dropped,
-		NodeTasks:     res.NodeTasks,
-		NodeBusy:      res.NodeBusy,
-		NodeLocalHits: res.NodeLocalHits,
-		NodeSteals:    res.NodeSteals,
-		NodeParks:     res.NodeParks,
+		Counters:  res.Counters,
+		Completed: res.Completed,
+		Dropped:   res.Dropped,
+		NodeTasks: res.NodeTasks,
+		NodeBusy:  res.NodeBusy,
+		NodeParks: res.NodeParks,
 	})
 	if err != nil {
 		return err
@@ -281,8 +311,6 @@ func (ex *executor) distExchangeStats(res *Result) error {
 		res.Dropped += s.Dropped
 		addEach(res.NodeTasks, s.NodeTasks)
 		addEach(res.NodeBusy, s.NodeBusy)
-		addEach(res.NodeLocalHits, s.NodeLocalHits)
-		addEach(res.NodeSteals, s.NodeSteals)
 		addEach(res.NodeParks, s.NodeParks)
 	}
 	return nil

@@ -60,13 +60,13 @@ type Interceptor func(m Message, deliver func(Message))
 type Options struct {
 	// Workers is the number of compute goroutines per node (default 1).
 	Workers int
-	// Sched selects the scheduler architecture (default SharedQueue;
-	// WorkStealing is the per-worker-deque scheduler). The choice never
-	// changes numerics — only who runs what, when.
+	// Sched is ignored: every node runs one Policy-ordered ready queue
+	// shared by its workers.
+	//
+	// Deprecated: the runtime has a single scheduler; set Policy.
 	Sched Sched
-	// Policy selects the ready-queue discipline (default FIFO): the
-	// shared queue's order under SharedQueue, the injection queue's
-	// order under WorkStealing.
+	// Policy orders each node's ready queue (default FIFO). The order
+	// never changes numerics — only who runs what, when.
 	Policy Policy
 	// Coalesce selects halo-bundle coalescing (default CoalesceOff; see
 	// ptg.Graph.PlanBundles for how each mode resolves): all cross-node
@@ -158,13 +158,15 @@ type Result struct {
 	// summed task execution time (across that node's workers).
 	NodeTasks []int
 	NodeBusy  []time.Duration
-	// Scheduler observability, per node. NodeLocalHits counts tasks a
-	// worker popped from its own deque, NodeSteals tasks taken from a
-	// sibling worker's deque (both zero under SharedQueue). NodeParks
-	// counts worker park episodes on the node condvar (all schedulers).
+	// NodeLocalHits and NodeSteals counted the per-worker deque traffic
+	// of the work-stealing scheduler the runtime no longer has; they are
+	// never filled.
+	//
+	// Deprecated: always nil.
 	NodeLocalHits []int
 	NodeSteals    []int
-	NodeParks     []int
+	// NodeParks counts worker park episodes on each node's condvar.
+	NodeParks []int
 	// OverlapRatio is the fraction of wire in-flight time during which at
 	// least one interior (KindInner) task was executing somewhere: how much
 	// of the communication the split transform actually hid behind compute
@@ -188,21 +190,10 @@ type execNode struct {
 	env   ptg.Env // the node's environment, boxed once
 	mu    sync.Mutex
 	cond  *sync.Cond
-	// queue is the node-level ready queue: the one shared queue under
-	// SharedQueue; the overflow/injection queue (comm goroutine + root
-	// seeding) under WorkStealing. Guarded by mu.
+	// queue is the node's Policy-ordered ready queue, shared by all of
+	// its workers, the comm goroutine and root seeding. Guarded by mu.
 	queue readyQueue
-	// wakeSeq, guarded by mu, is bumped by deque producers that want to
-	// wake parked workers; a parker re-checks it before sleeping, which
-	// closes the lost-wakeup race with lock-free deque pushes.
-	wakeSeq uint64
-	// deques holds one Chase-Lev deque per worker (WorkStealing only).
-	deques []*deque
-	parked atomic.Int32 // workers currently in (or entering) the park path
-
-	localHits atomic.Int64
-	steals    atomic.Int64
-	parks     atomic.Int64
+	parks atomic.Int64
 
 	sendQ chan sendReq
 	inbox chan Message
@@ -224,23 +215,9 @@ type execNode struct {
 	relPending atomic.Int64
 }
 
-// wake bumps the wake sequence and wakes up to n parked workers. Called by
-// a worker whose lock-free deque pushes left surplus work while siblings
-// were parked; waking surplus-many (not all) avoids a thundering herd that
-// would just re-scan and re-park.
-func (nd *execNode) wake(n int) {
-	nd.mu.Lock()
-	nd.wakeSeq++
-	for i := 0; i < n; i++ {
-		nd.cond.Signal()
-	}
-	nd.mu.Unlock()
-}
-
 type executor struct {
 	g         *ptg.Graph
 	opts      Options
-	steal     bool // opts.Sched == WorkStealing
 	traceComm bool // opts.Trace != nil && opts.TraceComm
 	nodes     []*execNode
 	pending   []int32 // remaining dep count per task (atomic)
@@ -284,6 +261,7 @@ type executor struct {
 	nodeRank   []int32
 	commStop   chan struct{}
 	commClosed atomic.Bool
+	arrived    *arrivals
 
 	// Inter-node work stealing (see steal.go; all nil/zero unless
 	// Options.Steal is active). stealAvg[n] is a per-node EWMA of task
@@ -360,7 +338,6 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 	ex := &executor{
 		g:         g,
 		opts:      opts,
-		steal:     opts.Sched == WorkStealing,
 		traceComm: opts.Trace != nil && opts.TraceComm,
 		pending:   make([]int32, len(g.Tasks)),
 		total:     int64(len(g.Tasks)),
@@ -443,12 +420,6 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 			sendQ: make(chan sendReq, sendNeed[n]+1),
 			inbox: make(chan Message, inboxNeed[n]+1),
 		}
-		if ex.steal {
-			nd.deques = make([]*deque, opts.Workers)
-			for w := range nd.deques {
-				nd.deques[w] = newDeque()
-			}
-		}
 		if ex.reliable {
 			nd.rel = newRelState(g.NumNodes)
 		}
@@ -461,6 +432,9 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 	}
 	if err := ex.planBundles(); err != nil {
 		return nil, err
+	}
+	if ex.dist != nil {
+		ex.arrived = newArrivals(g, len(ex.bundles))
 	}
 
 	if ex.total == 0 && ex.dist == nil {
@@ -532,10 +506,18 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 		go ex.agent.run(&wg)
 	}
 
-	// Seed the local roots.
+	// Seed the local roots, each node's in one batch: its workers see all
+	// of them at once and pop them in Policy order, rather than racing
+	// the seeding loop for whichever root landed first.
+	roots := make([][]int32, g.NumNodes)
 	for _, r := range g.Roots() {
-		if ex.localNode(g.Tasks[r].Node) {
-			ex.enqueue(r)
+		if n := g.Tasks[r].Node; ex.localNode(n) {
+			roots[n] = append(roots[n], r)
+		}
+	}
+	for n, rs := range roots {
+		if len(rs) > 0 {
+			ex.enqueueBatch(ex.nodes[n], rs)
 		}
 	}
 	if ex.total == 0 {
@@ -604,22 +586,18 @@ func Run(g *ptg.Graph, opts Options) (*Result, error) {
 	err := ex.runErr
 	ex.errMu.Unlock()
 	res := &Result{
-		Counters:      ex.counters(),
-		Elapsed:       elapsed,
-		Stores:        ex.stores(),
-		Completed:     int(ex.completed.Load()),
-		Dropped:       int(ex.dropped.Load()),
-		NodeTasks:     make([]int, g.NumNodes),
-		NodeBusy:      make([]time.Duration, g.NumNodes),
-		NodeLocalHits: make([]int, g.NumNodes),
-		NodeSteals:    make([]int, g.NumNodes),
-		NodeParks:     make([]int, g.NumNodes),
+		Counters:  ex.counters(),
+		Elapsed:   elapsed,
+		Stores:    ex.stores(),
+		Completed: int(ex.completed.Load()),
+		Dropped:   int(ex.dropped.Load()),
+		NodeTasks: make([]int, g.NumNodes),
+		NodeBusy:  make([]time.Duration, g.NumNodes),
+		NodeParks: make([]int, g.NumNodes),
 	}
 	for n := 0; n < g.NumNodes; n++ {
 		res.NodeTasks[n] = int(ex.nodeTasks[n].Load())
 		res.NodeBusy[n] = time.Duration(ex.nodeBusy[n].Load())
-		res.NodeLocalHits[n] = int(ex.nodes[n].localHits.Load())
-		res.NodeSteals[n] = int(ex.nodes[n].steals.Load())
 		res.NodeParks[n] = int(ex.nodes[n].parks.Load())
 	}
 	if ex.overlapOn {
@@ -699,23 +677,10 @@ func (ex *executor) finish() {
 	}
 }
 
-// enqueue makes a task ready on its owning node (or diverts it to the steal
-// agent when it is pinned to a remote thief).
-func (ex *executor) enqueue(idx int32) {
-	if ex.divert(idx) {
-		return
-	}
-	t := &ex.g.Tasks[idx]
-	nd := ex.nodes[t.Node]
-	nd.mu.Lock()
-	nd.queue.push(idx, t.Priority)
-	nd.cond.Signal()
-	nd.mu.Unlock()
-}
-
-// enqueueBatch makes several tasks ready on one node under a single lock
+// enqueueBatch makes tasks ready on one node under a single lock
 // acquisition — the batched successor release that keeps per-task lock
-// traffic at one queue-push critical section per completion.
+// traffic at one queue-push critical section per completion — diverting
+// any pinned to a remote thief to the steal agent.
 func (ex *executor) enqueueBatch(nd *execNode, tasks []int32) {
 	if ex.forcedSteal != nil {
 		kept := tasks[:0]
@@ -740,19 +705,13 @@ func (ex *executor) enqueueBatch(nd *execNode, tasks []int32) {
 	nd.mu.Unlock()
 }
 
-// satisfy decrements a task's pending count and enqueues it at zero.
-func (ex *executor) satisfy(idx int32) {
-	if atomic.AddInt32(&ex.pending[idx], -1) == 0 {
-		ex.enqueue(idx)
-	}
-}
-
+// worker is one compute core of a node: it pops the node's shared ready
+// queue in Policy order, parks on the node condvar while the queue is empty,
+// and hands each completion's newly ready local successors back to the
+// queue in one batch. This is the runtime's only scheduler — the same one
+// Policy-ordered wait queue per node that desim prices.
 func (ex *executor) worker(nd *execNode, core int32, wg *sync.WaitGroup) {
 	defer wg.Done()
-	if ex.steal {
-		ex.workerSteal(nd, core)
-		return
-	}
 	var ready []int32 // per-worker scratch for batched successor release
 	for {
 		if ex.cancelled.Load() {
@@ -781,78 +740,11 @@ func (ex *executor) worker(nd *execNode, core int32, wg *sync.WaitGroup) {
 			// leftovers.
 			return
 		}
-		ready = ex.runTask(nd, core, idx, false, ready[:0])
+		ready = ex.runTask(nd, core, idx, ready[:0])
 	}
 }
 
-// workerSteal is the work-stealing compute loop: own deque first (LIFO,
-// cache-hot successors), then siblings' deques (FIFO steal), then the
-// node-level injection queue, then park. The park protocol pairs the
-// atomic parked counter with a re-scan: a deque producer either sees
-// parked > 0 (and bumps wakeSeq under the lock) or its push is ordered
-// before the parker's final scan — sequential consistency of both atomics
-// rules out the lost wakeup.
-func (ex *executor) workerSteal(nd *execNode, core int32) {
-	own := nd.deques[core]
-	var ready []int32
-	for {
-		if ex.cancelled.Load() {
-			return
-		}
-		ex.maybePause(nd)
-		idx, stolen, ok := ex.findWork(nd, core, own)
-		if !ok {
-			if ex.done.Load() {
-				return
-			}
-			nd.mu.Lock()
-			seq := nd.wakeSeq
-			nd.mu.Unlock()
-			nd.parked.Add(1)
-			idx, stolen, ok = ex.findWork(nd, core, own)
-			if !ok {
-				nd.mu.Lock()
-				if nd.wakeSeq == seq && nd.queue.size() == 0 && !ex.done.Load() {
-					nd.parks.Add(1)
-					ex.noteStarve()
-					for nd.wakeSeq == seq && nd.queue.size() == 0 && !ex.done.Load() {
-						nd.cond.Wait()
-					}
-				}
-				nd.mu.Unlock()
-				nd.parked.Add(-1)
-				continue
-			}
-			nd.parked.Add(-1)
-		}
-		if ex.cancelled.Load() {
-			return
-		}
-		ready = ex.runTask(nd, core, idx, stolen, ready[:0])
-	}
-}
-
-// findWork implements the steal order: local deque, sibling deques
-// (starting just past the caller for spread), injection queue.
-func (ex *executor) findWork(nd *execNode, core int32, own *deque) (idx int32, stolen, ok bool) {
-	if idx, ok := own.pop(); ok {
-		nd.localHits.Add(1)
-		return idx, false, true
-	}
-	n := len(nd.deques)
-	for off := 1; off < n; off++ {
-		if idx, ok := nd.deques[(int(core)+off)%n].steal(); ok {
-			nd.steals.Add(1)
-			return idx, true, true
-		}
-	}
-	nd.mu.Lock()
-	idx, ok = nd.queue.pop()
-	nd.mu.Unlock()
-	return idx, false, ok
-}
-
-func (ex *executor) runTask(nd *execNode, core int32, idx int32, stolen bool, ready []int32) []int32 {
+func (ex *executor) runTask(nd *execNode, core int32, idx int32, ready []int32) []int32 {
 	defer func() {
 		if r := recover(); r != nil {
 			ex.fail(fmt.Errorf("runtime: task %v panicked: %v", ex.g.Tasks[idx].ID, r))
@@ -896,31 +788,13 @@ func (ex *executor) runTask(nd *execNode, core int32, idx int32, stolen bool, re
 	if ex.opts.Trace != nil {
 		ex.opts.Trace.Record(trace.Event{
 			ID: t.ID, Kind: t.Kind, Node: nd.id, Core: core,
-			Start: start, End: end, Stolen: stolen,
+			Start: start, End: end,
 		})
 	}
 
 	ready = ex.releaseSuccs(nd, idx, ready)
 	if len(ready) > 0 {
-		if ex.steal {
-			// Locality-first successor placement: newly-ready local
-			// successors go straight onto this worker's own deque — no
-			// lock, no wakeup. The worker pops one back immediately
-			// (LIFO), so siblings only need waking when there is
-			// surplus beyond that.
-			d := nd.deques[core]
-			for _, s := range ready {
-				d.push(s)
-			}
-			if p := int(nd.parked.Load()); p > 0 && len(ready) > 1 {
-				if surplus := len(ready) - 1; surplus < p {
-					p = surplus
-				}
-				nd.wake(p)
-			}
-		} else {
-			ex.enqueueBatch(nd, ready)
-		}
+		ex.enqueueBatch(nd, ready)
 	}
 
 	ex.completeTask()
@@ -1111,6 +985,11 @@ func (ex *executor) receive(nd *execNode, m Message) {
 	if ex.reliable && m.Seq != 0 && ex.dedup(nd, m) {
 		return
 	}
+	if ex.arrived != nil && !ex.arrived.first(m) {
+		ex.fail(fmt.Errorf("runtime: node %d received transfer %d->%d (task %d dep %d bundle %d) twice",
+			nd.id, m.Src, m.Dst, m.Task, m.Dep, m.Bundle))
+		return
+	}
 	if ex.overlapOn && m.SentNanos > 0 {
 		ex.commIv[nd.id] = append(ex.commIv[nd.id], span{Start: m.SentNanos, End: int64(time.Since(ex.t0))})
 	}
@@ -1143,6 +1022,8 @@ func (ex *executor) receiveOne(nd *execNode, m Message) (segs, bytes int) {
 	if dep.Unpack != nil {
 		dep.Unpack(nd.env, m.Data)
 	}
-	ex.satisfy(m.Task)
+	if atomic.AddInt32(&ex.pending[m.Task], -1) == 0 {
+		ex.enqueueBatch(nd, []int32{m.Task})
+	}
 	return 1, len(m.Data)
 }

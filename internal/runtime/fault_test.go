@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,9 +13,11 @@ import (
 )
 
 // genTimeout is an ack timeout generous enough that in-process delivery
-// (microseconds) never times out spuriously: every retransmit in these
-// tests is caused by an injected drop, making Retransmits == Dropped an
-// exact identity.
+// (microseconds) does not time out spuriously on an idle host: every
+// retransmit is then caused by an injected drop, making Retransmits ==
+// Dropped an exact identity. A loaded host can stretch an ack past it;
+// TestFaultCoalescedExactlyOnce accounts for such retransmits with its wire
+// ledger instead.
 const genTimeout = 100 * time.Millisecond
 
 func genRecovery() *fault.Recovery {
@@ -121,11 +124,14 @@ func TestFaultDupDelayExactlyOnce(t *testing.T) {
 func TestFaultCoalescedExactlyOnce(t *testing.T) {
 	// The -race stress for the coalesced path under drop+dup+delay: the
 	// epoch grid audits that every cross payload is delivered exactly
-	// once or accounted as dropped, whatever the wire does.
+	// once or accounted as dropped, whatever the wire does, and the wire
+	// ledger accounts for every retransmit — including spurious ones when
+	// a loaded host stretches an ack past genTimeout.
 	plan := &fault.Plan{Seed: 11, Drop: 0.25, Dup: 0.25, Delay: 0.3, DelayBy: 300 * time.Microsecond}
 	const nodes, epochs, tiles = 3, 5, 4
 	eg := buildEpochGrid(t, nodes, epochs, tiles, ptg.TaskID{})
-	res, err := Run(eg.g, Options{Workers: 2, Coalesce: ptg.CoalesceStep, Fault: plan, Recovery: genRecovery()})
+	var wire wireLedger
+	res, err := Run(eg.g, Options{Workers: 2, Coalesce: ptg.CoalesceStep, Fault: plan, Recovery: genRecovery(), Intercept: wire.intercept})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,9 +142,102 @@ func TestFaultCoalescedExactlyOnce(t *testing.T) {
 	if res.Fault.Dropped == 0 || res.Fault.Duplicated == 0 {
 		t.Fatalf("plan injected nothing on the bundle path: %+v", res.Fault)
 	}
-	if res.Fault.Retransmits != res.Fault.Dropped {
-		t.Errorf("retransmits %d != drops %d", res.Fault.Retransmits, res.Fault.Dropped)
+	wire.audit(t, plan, res)
+}
+
+// wireLedger records, through Options.Intercept, every copy of a sequenced
+// data message that reached the wire, per lane sequence: the message's
+// fault identity and how many copies of each delivery attempt got past the
+// plan.
+type wireLedger struct {
+	mu   sync.Mutex
+	seqs map[wireSeq]*wireAttempts
+}
+
+type wireSeq struct {
+	src, dst int32
+	seq      uint64
+}
+
+type wireAttempts struct {
+	id     fault.MsgID
+	copies map[int32]int // attempt -> copies on the wire
+	last   int32         // highest attempt seen on the wire
+}
+
+func (l *wireLedger) intercept(m Message, deliver func(Message)) {
+	l.mu.Lock()
+	if l.seqs == nil {
+		l.seqs = make(map[wireSeq]*wireAttempts)
 	}
+	k := wireSeq{src: m.Src, dst: m.Dst, seq: m.Seq}
+	w := l.seqs[k]
+	if w == nil {
+		w = &wireAttempts{id: msgIDOf(m), copies: make(map[int32]int)}
+		l.seqs[k] = w
+	}
+	w.copies[m.Attempt]++
+	w.last = max(w.last, m.Attempt)
+	l.mu.Unlock()
+	deliver(m)
+}
+
+// audit accounts for every attempt of a successful reliable run exactly,
+// recomputing drops and duplicates from the pure plan. Attempt a+1 of a
+// sequence exists only because attempt a timed out, whether the plan
+// dropped a or its ack was merely slow, so:
+//   - every ack timeout led to a retransmit;
+//   - every attempt up to the last one seen on the wire was either dropped
+//     by the plan or reached the wire, once plus one copy per planned dup;
+//   - the retransmits after a sequence's last wire attempt, which the
+//     interceptor cannot see, are exactly the drops it did not see.
+func (l *wireLedger) audit(t *testing.T, plan *fault.Plan, res *Result) {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if res.Fault.Retransmits != res.Fault.Timeouts {
+		t.Errorf("retransmits %d != timeouts %d", res.Fault.Retransmits, res.Fault.Timeouts)
+	}
+	lanes := map[[2]int32]uint64{}
+	retransmits, drops, dups := 0, 0, 0
+	for k, w := range l.seqs {
+		lane := [2]int32{k.src, k.dst}
+		lanes[lane] = max(lanes[lane], k.seq)
+		retransmits += int(w.last)
+		for a := int32(0); a <= w.last; a++ {
+			n := w.copies[a]
+			if plan.ShouldDrop(w.id, a) {
+				drops++
+				if n != 0 {
+					t.Errorf("%+v attempt %d: the plan drops it, yet %d copies reached the wire", k, a, n)
+				}
+				continue
+			}
+			want := 1
+			if plan.ShouldDup(w.id, a) {
+				want, dups = 2, dups+1
+			}
+			if n != want {
+				t.Errorf("%+v attempt %d: %d copies reached the wire, the plan says %d", k, a, n, want)
+			}
+		}
+	}
+	seqs := 0
+	for _, n := range lanes {
+		seqs += int(n)
+	}
+	if seqs != len(l.seqs) {
+		t.Errorf("lane sequences have gaps: %d seen, highest numbers sum to %d", len(l.seqs), seqs)
+	}
+	if unseen := res.Fault.Retransmits - retransmits; unseen < 0 || res.Fault.Dropped != drops+unseen {
+		t.Errorf("retransmits %d (%d seen on the wire), drops %d (%d planned on seen attempts): the unseen retransmits are not exactly the unseen drops",
+			res.Fault.Retransmits, retransmits, res.Fault.Dropped, drops)
+	}
+	if res.Fault.Duplicated != dups {
+		t.Errorf("duplicated %d, the plan duplicates %d attempts that reached the wire", res.Fault.Duplicated, dups)
+	}
+	t.Logf("wire ledger: %d sequences, %d retransmits, %d drops (%d retransmits followed a copy on the wire)",
+		len(l.seqs), res.Fault.Retransmits, res.Fault.Dropped, res.Fault.Retransmits-res.Fault.Dropped)
 }
 
 func TestFaultPausedNodePastDeadlineReports(t *testing.T) {

@@ -6,22 +6,18 @@ import (
 	"strings"
 )
 
-// Sched selects the scheduler architecture, the analog of swapping
-// PaRSEC's scheduler module.
+// Sched named the runtime's two schedulers, the shared per-node queue and
+// per-worker work-stealing deques. Only the shared queue remains; Sched is
+// kept as the type of the deprecated Options.Sched field and of the
+// facade's deprecated aliases, and selects nothing.
 type Sched int
 
 const (
 	// SharedQueue is one Policy-ordered ready queue per node, shared by
-	// all of the node's workers under a mutex (the pre-work-stealing
-	// design, kept as the compatibility scheduler).
+	// all of the node's workers — the runtime's only scheduler.
 	SharedQueue Sched = iota
-	// WorkStealing gives each worker a Chase-Lev deque: newly-ready
-	// local successors go straight onto the completing worker's own
-	// deque (lock-free LIFO, cache locality on tile chains); idle
-	// workers steal from siblings (FIFO), then fall back to a node-level
-	// Policy-ordered injection queue fed by the communication goroutine
-	// and root seeding, then park. This mirrors the paper's PaRSEC
-	// configuration: per-core task queues with job stealing.
+	// WorkStealing runs the shared queue too; the per-worker deques it
+	// once selected are gone.
 	WorkStealing
 )
 
@@ -35,30 +31,29 @@ func (s Sched) String() string {
 	return "unknown"
 }
 
-// SchedNames lists the values ParseSched accepts, for flag usage strings.
-const SchedNames = "steal, fifo, lifo, priority"
+// SchedNames lists the queue orders ParseSched accepts, for flag help.
+const SchedNames = "fifo, lifo, priority"
 
-// ParseSched maps a -sched flag value to a scheduler configuration:
-// "steal" selects the work-stealing scheduler (Policy orders its injection
-// queue); "fifo", "lifo" and "priority" select the shared-queue scheduler
-// with that discipline.
-func ParseSched(name string) (Sched, Policy, error) {
+// ParseSched maps a -sched flag value to the ready-queue Policy. "shared"
+// is a synonym of "fifo" and "prio" of "priority"; "steal", "ws" and
+// "work-stealing" are deprecated spellings of "fifo", accepted so job specs
+// and scripts written for the removed work-stealing scheduler keep working
+// (it ordered its node queue FIFO too).
+func ParseSched(name string) (Policy, error) {
 	switch strings.ToLower(name) {
-	case "steal", "ws", "work-stealing":
-		return WorkStealing, FIFO, nil
-	case "shared", "fifo":
-		return SharedQueue, FIFO, nil
+	case "fifo", "shared", "steal", "ws", "work-stealing":
+		return FIFO, nil
 	case "lifo":
-		return SharedQueue, LIFO, nil
+		return LIFO, nil
 	case "priority", "prio":
-		return SharedQueue, PriorityOrder, nil
+		return PriorityOrder, nil
 	}
-	return 0, 0, fmt.Errorf("runtime: unknown scheduler %q (valid: %s)", name, SchedNames)
+	return 0, fmt.Errorf("runtime: unknown scheduler %q (valid: %s)", name, SchedNames)
 }
 
 // Policy selects the per-node ready-queue discipline, the analog of
-// PaRSEC's pluggable schedulers. Under SharedQueue it orders the node's
-// one shared queue; under WorkStealing it orders the injection queue.
+// PaRSEC's pluggable schedulers: it orders the one queue each node's
+// workers share.
 type Policy int
 
 const (

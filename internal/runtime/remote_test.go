@@ -147,6 +147,38 @@ func TestRemoteMessageValidation(t *testing.T) {
 	}
 }
 
+// TestRemoteDuplicateTransferRejected replays the legitimate payload twice,
+// point to point and as a bundle, on the plain wire and under the reliable
+// transport with two fresh sequence numbers. The copy must never reach the
+// store: the run fails on it, or — when the run completes before the comm
+// goroutine gets to it — it is counted as dropped. It must never race the
+// consumer for the buffer slot or refill the slot after consumption.
+func TestRemoteDuplicateTransferRejected(t *testing.T) {
+	g := remoteGraph(t)
+	for _, coalesce := range []bool{false, true} {
+		for _, reliable := range []bool{false, true} {
+			for i := 0; i < 10; i++ {
+				a, b := legitPayload(coalesce), legitPayload(coalesce)
+				if reliable {
+					a.Seq, b.Seq = 1, 2
+				}
+				res, err := runScripted(g, coalesce, reliable, a, b)
+				switch {
+				case err != nil:
+					if !strings.Contains(err.Error(), "twice") {
+						t.Fatalf("coalesce=%v reliable=%v: duplicate failed the run with %v, want a duplicate-transfer error", coalesce, reliable, err)
+					}
+				case res.Dropped != 1 && !reliable:
+					t.Fatalf("coalesce=%v: duplicate neither failed the run nor was dropped (dropped %d)", coalesce, res.Dropped)
+				}
+				if err == nil && res.Stores[0].LiveBufSlots() != 0 {
+					t.Fatalf("coalesce=%v reliable=%v: the duplicate refilled a consumed buffer slot", coalesce, reliable)
+				}
+			}
+		}
+	}
+}
+
 // FuzzRemoteMessage throws arbitrary inbound headers and payloads at a
 // distributed run of remoteGraph, point to point or coalesced, with or
 // without the reliable transport. The legitimate payload follows, so the run

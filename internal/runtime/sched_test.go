@@ -5,38 +5,44 @@ import (
 	"testing"
 	"time"
 
+	"castencil/internal/leakcheck"
 	"castencil/internal/ptg"
-	"castencil/internal/trace"
 )
 
 func TestParseSched(t *testing.T) {
 	cases := []struct {
 		in     string
-		sched  Sched
 		policy Policy
 	}{
-		{"steal", WorkStealing, FIFO},
-		{"ws", WorkStealing, FIFO},
-		{"work-stealing", WorkStealing, FIFO},
-		{"fifo", SharedQueue, FIFO},
-		{"shared", SharedQueue, FIFO},
-		{"LIFO", SharedQueue, LIFO},
-		{"priority", SharedQueue, PriorityOrder},
-		{"prio", SharedQueue, PriorityOrder},
+		// The removed work-stealing scheduler's spellings are deprecated
+		// synonyms of fifo.
+		{"steal", FIFO},
+		{"ws", FIFO},
+		{"work-stealing", FIFO},
+		{"fifo", FIFO},
+		{"shared", FIFO},
+		{"LIFO", LIFO},
+		{"priority", PriorityOrder},
+		{"prio", PriorityOrder},
 	}
 	for _, c := range cases {
-		s, p, err := ParseSched(c.in)
-		if err != nil || s != c.sched || p != c.policy {
-			t.Errorf("ParseSched(%q) = %v,%v,%v; want %v,%v", c.in, s, p, err, c.sched, c.policy)
+		p, err := ParseSched(c.in)
+		if err != nil || p != c.policy {
+			t.Errorf("ParseSched(%q) = %v,%v; want %v", c.in, p, err, c.policy)
 		}
 	}
-	if _, _, err := ParseSched("bogus"); err == nil {
+	if _, err := ParseSched("bogus"); err == nil {
 		t.Error("ParseSched accepted a bogus name")
 	}
 }
 
-// TestWorkStealingChain re-runs the cross-node pipeline tests under the
-// work-stealing scheduler: same result, same message accounting.
+// The TestWorkStealing* tests below pass the deprecated WorkStealing
+// selector, as callers written for the removed scheduler still do: such a
+// run must execute on the shared queue with the same results, accounting,
+// park behaviour and failure handling.
+
+// TestWorkStealingChain re-runs the cross-node pipeline tests with the
+// deprecated selector: same result, same message accounting.
 func TestWorkStealingChain(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		g := buildChain(t, 20, 3)
@@ -86,62 +92,16 @@ func fanOutGraph(t testing.TB, fan, depth int, body func()) *ptg.Graph {
 	return g
 }
 
-// TestWorkStealingActuallySteals forces the steal path: one root fans out
-// onto the completing worker's own deque while every task is slow enough
-// that siblings must wake and steal to participate.
-func TestWorkStealingActuallySteals(t *testing.T) {
-	g := fanOutGraph(t, 32, 0, func() { time.Sleep(time.Millisecond) })
-	tr := trace.New()
-	res, err := Run(g, Options{Workers: 4, Sched: WorkStealing, Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != 33 {
-		t.Fatalf("completed = %d, want 33", res.Completed)
-	}
-	if res.NodeSteals[0] == 0 {
-		t.Error("no steals recorded: siblings never took work from the fanning worker's deque")
-	}
-	stolen := 0
-	for _, e := range tr.Events() {
-		if e.Stolen {
-			stolen++
-		}
-	}
-	if stolen != res.NodeSteals[0] {
-		t.Errorf("trace records %d stolen tasks, Result says %d", stolen, res.NodeSteals[0])
-	}
-}
-
-// TestWorkStealingLocalityChains checks locality-first placement: a single
-// worker running chains must take nearly everything from its own deque.
-func TestWorkStealingLocalityChains(t *testing.T) {
-	g := fanOutGraph(t, 4, 50, nil)
-	res, err := Run(g, Options{Workers: 1, Sched: WorkStealing})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 4*51 + 1
-	if res.Completed != total {
-		t.Fatalf("completed = %d, want %d", res.Completed, total)
-	}
-	// Only the root arrives via the injection queue; every successor is
-	// pushed to (and popped from) the lone worker's own deque.
-	if res.NodeLocalHits[0] != total-1 {
-		t.Errorf("local hits = %d, want %d", res.NodeLocalHits[0], total-1)
-	}
-	if res.NodeSteals[0] != 0 {
-		t.Errorf("steals = %d with one worker", res.NodeSteals[0])
-	}
-}
-
-// TestStealStormTinyTasks is the steal-storm stress: thousands of tiny
-// tasks released from single points, many workers hammering the deques.
-// Meant to run under -race (the CI race gate covers this package).
+// TestStealStormTinyTasks is the release-storm stress, named for the
+// work-stealing deques it once targeted: thousands of tiny tasks released
+// from single points, eight workers contending on the one node queue, park
+// and wake churn on every burst, and every worker gone at the end. Meant to
+// run under -race (the CI race gate covers this package).
 func TestStealStormTinyTasks(t *testing.T) {
+	defer leakcheck.Guard(t)()
 	for trial := 0; trial < 3; trial++ {
 		g := fanOutGraph(t, 500, 3, nil)
-		res, err := Run(g, Options{Workers: 8, Sched: WorkStealing})
+		res, err := Run(g, Options{Workers: 8})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -149,16 +109,18 @@ func TestStealStormTinyTasks(t *testing.T) {
 		if res.Completed != want || res.Dropped != 0 {
 			t.Fatalf("trial %d: completed=%d dropped=%d want %d,0", trial, res.Completed, res.Dropped, want)
 		}
-		if hits := res.NodeLocalHits[0] + res.NodeSteals[0]; hits > res.Completed {
-			t.Fatalf("trial %d: localHits+steals = %d > completed %d", trial, hits, res.Completed)
+		if res.NodeTasks[0] != want {
+			t.Fatalf("trial %d: node ran %d tasks, want %d", trial, res.NodeTasks[0], want)
 		}
 	}
 }
 
 // TestWorkStealingWorkersOutnumberTasks: workers >> tasks must neither
 // deadlock nor drop work — most workers just park and exit. The chain
-// sleeps so the run outlives worker spin-up and the idle 15 must park.
+// sleeps so the run outlives worker spin-up and the idle 15 must park, and
+// every parked worker must wake and exit when the chain completes.
 func TestWorkStealingWorkersOutnumberTasks(t *testing.T) {
+	defer leakcheck.Guard(t)()
 	g := fanOutGraph(t, 1, 5, func() { time.Sleep(time.Millisecond) })
 	res, err := Run(g, Options{Workers: 16, Sched: WorkStealing})
 	if err != nil {
@@ -172,8 +134,8 @@ func TestWorkStealingWorkersOutnumberTasks(t *testing.T) {
 	}
 }
 
-// TestWorkStealingRandomDAGStress mirrors TestRandomDAGStress under the
-// work-stealing scheduler, cross-node messages included.
+// TestWorkStealingRandomDAGStress mirrors TestRandomDAGStress with the
+// deprecated selector, cross-node messages included.
 func TestWorkStealingRandomDAGStress(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		nodes := trial%3 + 1
@@ -188,19 +150,25 @@ func TestWorkStealingRandomDAGStress(t *testing.T) {
 	}
 }
 
-// TestWorkStealingPanicPropagates: failure handling must survive the new
-// worker loop (parked siblings wake and exit).
+// TestWorkStealingPanicPropagates: a panic while siblings are parked must
+// fail the run, and the parked siblings must wake and exit. The panicking
+// task sleeps first so the three idle workers are normally parked when it
+// fires.
 func TestWorkStealingPanicPropagates(t *testing.T) {
+	defer leakcheck.Guard(t)()
 	b := ptg.NewBuilder(1)
-	b.AddTask(ptg.Task{ID: ptg.TaskID{Class: "boom"}, Node: 0, Run: func(ptg.Env) { panic("kaboom") }})
+	b.AddTask(ptg.Task{ID: ptg.TaskID{Class: "boom"}, Node: 0, Run: func(ptg.Env) {
+		time.Sleep(5 * time.Millisecond)
+		panic("kaboom")
+	}})
 	g, _ := b.Build()
 	if _, err := Run(g, Options{Workers: 4, Sched: WorkStealing}); err == nil {
-		t.Error("panic not propagated under work stealing")
+		t.Error("panic not propagated")
 	}
 }
 
-// schedulerVariants enumerates every scheduler configuration the runtime
-// offers, for equivalence sweeps.
+// schedulerVariants enumerates every ready-queue order the runtime offers,
+// for equivalence sweeps.
 func schedulerVariants() []struct {
 	Name string
 	Opts Options
@@ -212,7 +180,6 @@ func schedulerVariants() []struct {
 		{"shared-fifo", Options{Policy: FIFO}},
 		{"shared-lifo", Options{Policy: LIFO}},
 		{"shared-priority", Options{Policy: PriorityOrder}},
-		{"steal", Options{Sched: WorkStealing}},
 	}
 }
 
@@ -241,32 +208,22 @@ func TestSchedulerEquivalence(t *testing.T) {
 
 // BenchmarkSchedulerThroughput measures pure scheduling overhead: a
 // prebuilt single-node graph of tiny tasks (wide fan-out, short chains) run
-// to completion, shared queue vs work stealing across worker counts.
+// to completion on the shared queue across worker counts.
 func BenchmarkSchedulerThroughput(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, sv := range []struct {
-			name string
-			opts Options
-		}{
-			{"shared", Options{Policy: FIFO}},
-			{"steal", Options{Sched: WorkStealing}},
-		} {
-			b.Run(fmt.Sprintf("%s-w%d", sv.name, workers), func(b *testing.B) {
-				g := fanOutGraph(b, 64, 30, nil)
-				opts := sv.opts
-				opts.Workers = workers
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := Run(g, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Dropped != 0 {
-						b.Fatalf("dropped %d", res.Dropped)
-					}
+		b.Run(fmt.Sprintf("shared-w%d", workers), func(b *testing.B) {
+			g := fanOutGraph(b, 64, 30, nil)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := Run(g, Options{Workers: workers})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(64*31+1), "tasks/op")
-			})
-		}
+				if res.Dropped != 0 {
+					b.Fatalf("dropped %d", res.Dropped)
+				}
+			}
+			b.ReportMetric(float64(64*31+1), "tasks/op")
+		})
 	}
 }

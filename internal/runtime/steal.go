@@ -12,8 +12,8 @@ import (
 	"castencil/internal/trace"
 )
 
-// This file is the runtime's inter-node work-stealing layer: the intra-node
-// Chase-Lev deques of PR 2 extended across ranks of a distributed run, per
+// This file is the runtime's inter-node work-stealing layer: ranks of a
+// distributed run migrate ready tasks out of each other's node queues, per
 // "Distributed Work Stealing in a Task-Based Dataflow Runtime".
 //
 // One steal agent goroutine per rank speaks a four-message protocol over the
@@ -48,8 +48,7 @@ import (
 type StealMode int
 
 const (
-	// StealOff disables inter-node stealing (the default). Intra-node
-	// stealing (Sched == WorkStealing) is unaffected.
+	// StealOff disables inter-node stealing (the default).
 	StealOff StealMode = iota
 	// StealGreedy migrates any ready migratable task to a starving rank.
 	StealGreedy
@@ -807,22 +806,20 @@ func (ag *stealAgent) sendForced(thief int, vf *victimForced, idx int32) {
 
 // --- executor-side mechanics ---
 
-// stealPop pops one migratable ready task for a remote thief: injection
-// queues first (only from a backlog of at least two, so the pop never idles
-// a local worker), then deque tails — the oldest, least cache-affine work of
-// busy workers, the natural migration candidates. Non-migratable or
-// not-worth-shipping candidates are handed back through the injection queue
-// (deque pushes are owner-only).
+// stealPop pops one migratable ready task for a remote thief from a local
+// node queue — only from a backlog of at least two, so the pop never idles a
+// local worker. Non-migratable or not-worth-shipping candidates go back
+// into the queue.
 func (ex *executor) stealPop() (int32, bool) {
 	for _, nd := range ex.nodes {
 		if !ex.localNode(nd.id) {
 			continue
 		}
+		found := int32(-1)
 		nd.mu.Lock()
 		if depth := nd.queue.size(); depth >= 2 {
 			var kept [8]int32
 			nk := 0
-			found := int32(-1)
 			for nk < len(kept) && nd.queue.size() > 1 {
 				idx, ok := nd.queue.pop()
 				if !ok {
@@ -838,29 +835,10 @@ func (ex *executor) stealPop() (int32, bool) {
 			for i := 0; i < nk; i++ {
 				nd.queue.push(kept[i], ex.g.Tasks[kept[i]].Priority)
 			}
-			nd.mu.Unlock()
-			if found >= 0 {
-				return found, true
-			}
-		} else {
-			nd.mu.Unlock()
 		}
-		for _, d := range nd.deques {
-			if d.size() < 2 {
-				continue
-			}
-			idx, ok := d.steal()
-			if !ok {
-				continue
-			}
-			t := &ex.g.Tasks[idx]
-			if t.Mig != nil && ex.stealWorth(nd, t, d.size()+1) {
-				return idx, true
-			}
-			nd.mu.Lock()
-			nd.queue.push(idx, t.Priority)
-			nd.cond.Signal()
-			nd.mu.Unlock()
+		nd.mu.Unlock()
+		if found >= 0 {
+			return found, true
 		}
 	}
 	return -1, false
@@ -937,8 +915,6 @@ func (ex *executor) commitMigrated(idx int32, out []byte) {
 	ex.nodeTasks[nd.id].Add(1)
 	ready := ex.releaseSuccs(nd, idx, nil)
 	if len(ready) > 0 {
-		// The agent is not a deque owner; newly-ready successors go through
-		// the injection queue like comm-delivered work.
 		ex.enqueueBatch(nd, ready)
 	}
 	ex.completeTask()

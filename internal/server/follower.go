@@ -94,6 +94,7 @@ func (m *Manager) runBroadcast(ctx context.Context, t *castencil.NetTransport, p
 	} else {
 		opts := []castencil.Option{
 			castencil.WithWorkers(m.workersFor(b)),
+			castencil.WithPolicy(b.policy),
 			castencil.WithCoalesce(b.coalesce),
 			castencil.WithFaultPlan(b.fault),
 			castencil.WithContext(runCtx),
@@ -105,9 +106,6 @@ func (m *Manager) runBroadcast(ctx context.Context, t *castencil.NetTransport, p
 				Transport: t,
 				Steal:     castencil.StealPolicy{Mode: b.steal, Machine: b.machine},
 			}),
-		}
-		if b.schedSet {
-			opts = append(opts, castencil.WithSched(b.sched), castencil.WithPolicy(b.policy))
 		}
 		m.execReal(j, variant, cfg, opts)
 	}

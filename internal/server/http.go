@@ -135,8 +135,12 @@ type Result struct {
 	Tasks      int    `json:"tasks,omitempty"`
 	Messages   int    `json:"messages,omitempty"`
 	BytesSent  int    `json:"bytes_sent,omitempty"`
-	Steals     int    `json:"steals,omitempty"`
-	ElapsedMS  int64  `json:"elapsed_ms,omitempty"`
+	// Steals counted intra-node steals of the removed work-stealing
+	// scheduler.
+	//
+	// Deprecated: never filled; always zero, so omitted on the wire.
+	Steals    int   `json:"steals,omitempty"`
+	ElapsedMS int64 `json:"elapsed_ms,omitempty"`
 
 	// Sim-engine outcome.
 	MakespanMS float64 `json:"makespan_ms,omitempty"`
@@ -160,9 +164,6 @@ func buildResult(j *Job, withGrid bool) Result {
 		out.Messages = ex.Messages
 		out.BytesSent = ex.BytesSent
 		out.ElapsedMS = ex.Elapsed.Milliseconds()
-		for _, s := range ex.NodeSteals {
-			out.Steals += s
-		}
 	}
 	if res := j.SimResult(); res != nil {
 		out.MakespanMS = float64(res.Makespan) / float64(time.Millisecond)

@@ -161,9 +161,7 @@ type buildSpec struct {
 	prio     Priority
 	timeout  time.Duration
 	workers  int
-	sched    castencil.Sched
 	policy   castencil.Policy
-	schedSet bool
 	coalesce castencil.CoalesceMode
 	fault    *castencil.FaultPlan
 	machine  *castencil.Machine
@@ -232,10 +230,9 @@ func (s Spec) build() (*buildSpec, error) {
 	}
 	b.workers = s.Workers
 	if s.Sched != "" {
-		if b.sched, b.policy, err = castencil.ParseSched(s.Sched); err != nil {
+		if _, b.policy, err = castencil.ParseSched(s.Sched); err != nil {
 			return nil, err
 		}
-		b.schedSet = true
 	}
 	if s.Coalesce != "" {
 		if b.coalesce, err = castencil.ParseCoalesce(s.Coalesce); err != nil {

@@ -103,7 +103,6 @@ type Manager struct {
 	mRejected   *metrics.Counter
 	mTerminal   map[State]*metrics.Counter
 	mTasks      *metrics.Counter
-	mSteals     *metrics.Counter
 	mMessages   *metrics.Counter
 	mBytes      *metrics.Counter
 	mBundles    *metrics.Counter
@@ -138,7 +137,6 @@ func New(cfg Config) *Manager {
 		return int64(m.running)
 	})
 	m.mTasks = r.Counter("stencild_tasks_executed_total", "graph tasks executed across all jobs", nil)
-	m.mSteals = r.Counter("stencild_steals_total", "work-stealing scheduler steals across all jobs", nil)
 	m.mMessages = r.Counter("stencild_messages_total", "inter-node wire messages across all jobs", nil)
 	m.mBytes = r.Counter("stencild_bytes_sent_total", "inter-node wire bytes across all jobs", nil)
 	m.mBundles = r.Counter("stencild_bundles_total", "coalesced halo bundles sent across all jobs", nil)
@@ -441,13 +439,11 @@ func (m *Manager) runJob(j *Job) {
 	default:
 		opts := []castencil.Option{
 			castencil.WithWorkers(m.workersFor(b)),
+			castencil.WithPolicy(b.policy),
 			castencil.WithCoalesce(b.coalesce),
 			castencil.WithFaultPlan(b.fault),
 			castencil.WithContext(ctx),
 			castencil.WithProgress(progress),
-		}
-		if b.schedSet {
-			opts = append(opts, castencil.WithSched(b.sched), castencil.WithPolicy(b.policy))
 		}
 		if b.ranks > 0 {
 			// Distributed: broadcast the spec so every follower enters the
@@ -515,11 +511,6 @@ func (m *Manager) execReal(j *Job, variant castencil.Variant, cfg castencil.Conf
 		ex := res.Exec
 		m.mTasks.Add(int64(ex.Completed))
 		m.addCounters(ex.Counters)
-		steals := 0
-		for _, s := range ex.NodeSteals {
-			steals += s
-		}
-		m.mSteals.Add(int64(steals))
 		j.mu.Lock()
 		j.real = res
 		j.mu.Unlock()

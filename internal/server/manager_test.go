@@ -5,31 +5,12 @@ import (
 	"context"
 	"crypto/sha256"
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 
 	castencil "castencil"
+	"castencil/internal/leakcheck"
 )
-
-// waitGoroutines fails the test if the goroutine count does not settle back
-// to at most base within 15s (cancellation and shutdown must not leak; the
-// generous window absorbs race-detector scheduling on a loaded 1-CPU host).
-func waitGoroutines(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		n := runtime.NumGoroutine()
-		if n <= base {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines leaked: %d > %d\n%s", n, base, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
 
 // waitState polls until the job reaches want or the deadline passes.
 func waitState(t *testing.T, j *Job, want State, timeout time.Duration) {
@@ -143,7 +124,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 // must report cancelled promptly (not run to completion) and the manager
 // must not leak goroutines.
 func TestCancelRunningRealJob(t *testing.T) {
-	base := runtime.NumGoroutine()
+	check := leakcheck.Guard(t)
 	m := New(Config{MaxJobs: 1, QueueSize: 4})
 	j, err := m.Submit(Spec{N: 256, Tile: 32, Steps: 400, StepSize: 8, Workers: 1})
 	if err != nil {
@@ -166,7 +147,7 @@ func TestCancelRunningRealJob(t *testing.T) {
 		t.Errorf("cancelled job completed all %d tasks", ce.Total)
 	}
 	shutdownNow(t, m)
-	waitGoroutines(t, base)
+	check()
 }
 
 // TestCancelRunningSimJob cancels a virtual-time job mid-replay.
@@ -272,7 +253,7 @@ func withPriority(s Spec, p string) Spec { s.Priority = p; return s }
 // TestGracefulShutdown drains queued and running work, rejects new
 // submissions, and returns with no executor goroutines left.
 func TestGracefulShutdown(t *testing.T) {
-	base := runtime.NumGoroutine()
+	check := leakcheck.Guard(t)
 	m := New(Config{MaxJobs: 2, QueueSize: 8})
 	var jobs []*Job
 	for i := 0; i < 4; i++ {
@@ -295,7 +276,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if _, err := m.Submit(quickSpec(1)); !errors.Is(err, ErrDraining) {
 		t.Errorf("post-shutdown submit: got %v, want ErrDraining", err)
 	}
-	waitGoroutines(t, base)
+	check()
 }
 
 // TestSpecValidation: bad specs are rejected at admission with a useful

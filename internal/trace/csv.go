@@ -10,9 +10,9 @@ import (
 )
 
 // csvHeader is the column layout of the on-disk trace format. The "stolen"
-// column was added with the work-stealing scheduler and the "msgs"/"bytes"
-// comm-counter columns with halo-bundle coalescing; ReadCSV still accepts
-// the earlier nine- and ten-column files.
+// column (see Event.Stolen) was added with the work-stealing scheduler and
+// the "msgs"/"bytes" comm-counter columns with halo-bundle coalescing;
+// ReadCSV still accepts the earlier nine- and ten-column files.
 var csvHeader = []string{"class", "i", "j", "k", "kind", "node", "core", "start_ns", "end_ns", "stolen", "msgs", "bytes"}
 
 // csvWidths lists the accepted column counts, newest first: the full

@@ -21,8 +21,10 @@ type Event struct {
 	Kind       ptg.Kind
 	Node, Core int32
 	Start, End time.Duration
-	// Stolen marks a task the executing core took from a sibling
-	// worker's deque (work-stealing scheduler only).
+	// Stolen marks a task migrated by inter-node work stealing: a
+	// thief rank executed it for its home node, recorded on the comm
+	// pseudo-core (index Workers, or Cores in the simulator). Intra-node
+	// scheduling never sets it.
 	Stolen bool
 	// Msgs and Bytes are set on KindComm events only: the member transfers
 	// carried (1 for a point-to-point message, the segment count for a
@@ -143,11 +145,12 @@ func Summarize(events []Event, cores int) Stats {
 
 // CoreStats summarizes one core's share of a node's events: the raw
 // material for spotting scheduler imbalance (a starved core shows low
-// Util; a core living off its siblings shows high Stolen).
+// Util). Stolen counts migrated tasks (see Event.Stolen), so only the comm
+// pseudo-core of a rank that stole ever shows it nonzero.
 type CoreStats struct {
 	Core   int32
 	Tasks  int
-	Stolen int           // tasks obtained by stealing from a sibling
+	Stolen int           // tasks executed here for a remote victim rank
 	Busy   time.Duration // summed task durations on this core
 	Util   float64       // Busy / node span
 }

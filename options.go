@@ -19,7 +19,7 @@ import (
 // bitwise-identical results for equivalent settings.
 //
 //	res, err := castencil.Run(castencil.CA, cfg,
-//	    castencil.WithSched(castencil.WorkStealing),
+//	    castencil.WithPolicy(castencil.PriorityOrder),
 //	    castencil.WithCoalesce(castencil.CoalesceAuto),
 //	    castencil.WithFaultPlan(plan))
 
@@ -78,11 +78,14 @@ type RunOptions struct {
 	// Workers is the number of compute goroutines per virtual node in a
 	// real run (default 1).
 	Workers int
-	// Sched and Policy select the real runtime's scheduler architecture
-	// and ready-queue discipline. SimFIFO orders the simulator's wait
-	// queue FIFO instead of its default priority discipline (the
-	// simulator's scheduling is a separate, simpler model).
-	Sched   Sched
+	// Sched is ignored: the real runtime has one scheduler.
+	//
+	// Deprecated: set Policy.
+	Sched Sched
+	// Policy orders the real runtime's per-node ready queue. SimFIFO
+	// orders the simulator's wait queue FIFO instead of its default
+	// priority discipline (the simulator's scheduling is a separate,
+	// simpler model).
 	Policy  Policy
 	SimFIFO bool
 	// Coalesce selects halo-bundle coalescing on either engine.
@@ -150,22 +153,25 @@ type Option func(*RunOptions)
 // real run.
 func WithWorkers(n int) Option { return func(o *RunOptions) { o.Workers = n } }
 
-// WithSched selects the scheduler architecture (SharedQueue or
-// WorkStealing) for a real run.
+// WithSched records a scheduler architecture that no longer selects
+// anything: every real run uses the shared per-node queue.
+//
+// Deprecated: use WithPolicy or WithSchedSpec to order the queue.
 func WithSched(s Sched) Option { return func(o *RunOptions) { o.Sched = s } }
 
 // WithPolicy selects the ready-queue discipline (FIFO, LIFO,
 // PriorityOrder).
 func WithPolicy(p Policy) Option { return func(o *RunOptions) { o.Policy = p } }
 
-// WithSchedSpec applies a command-line scheduler name ("steal", "fifo",
-// "priority", ...) — the functional-option form of ParseSched.
+// WithSchedSpec applies a command-line scheduler name ("fifo", "lifo",
+// "priority", ...) — the functional-option form of ParseSched. It sets
+// only Policy.
 func WithSchedSpec(name string) (Option, error) {
-	s, p, err := runtime.ParseSched(name)
+	p, err := runtime.ParseSched(name)
 	if err != nil {
 		return nil, err
 	}
-	return func(o *RunOptions) { o.Sched, o.Policy = s, p }, nil
+	return func(o *RunOptions) { o.Policy = p }, nil
 }
 
 // WithSimFIFO orders the simulator's oversubscribed-core wait queue FIFO
@@ -281,7 +287,6 @@ func BuildRunOptions(opts ...Option) RunOptions {
 func (o RunOptions) real() ExecOptions {
 	return ExecOptions{
 		Workers:    o.Workers,
-		Sched:      o.Sched,
 		Policy:     o.Policy,
 		Coalesce:   o.Coalesce,
 		Fault:      o.Fault,
